@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import montecarlo, overlay, underlay
-from .model import NetworkParams, ParameterError, derive
+from .model import NetworkParams, ParameterError
 from .montecarlo import SimConfig, SimulationConfigError
-from .overlay import DegenerateRateError, _utility
+from .overlay import DegenerateRateError
 from .power import (
     DegenerateModeError,
     actual_power_report,
@@ -390,14 +390,12 @@ def _cmd_optimize(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
             rows.append({"variable": "mu", "optimum": opt.mu, "utility": opt.utility})
             rows.append({"variable": "eta", "optimum": opt.eta, "utility": opt.utility})
         else:
+            # the raw-rate objective eta* maximises (see optimal_partition)
             eta_star = overlay.optimal_partition(cfg.params)
-            d = derive(cfg.params)
-            rc = overlay.cellular_spectral_efficiency(cfg.params, n0=d.n0_equiv)
-            rd = overlay.d2d_spectral_efficiency(cfg.params, n0=d.n0_equiv)
-            t_c = (1.0 - eta_star) * rc
-            t_d = (1.0 - d.p_d2d_mode) * t_c + d.p_d2d_mode * eta_star * rd
-            util = _utility(t_c, t_d, cfg.params.w_c, cfg.params.w_d)
-            rows.append({"variable": "eta", "optimum": eta_star, "utility": util})
+            report = overlay.overlay_rates(
+                cfg.params.replace(eta=eta_star, bandwidth_normalization=False)
+            )
+            rows.append({"variable": "eta", "optimum": eta_star, "utility": report.utility})
     else:
         beta_star = underlay.optimal_access_factor(cfg.params)
         report = underlay.underlay_rates(cfg.params.replace(beta=beta_star))

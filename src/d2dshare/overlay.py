@@ -13,10 +13,12 @@ Jout(x) is the out-of-cell uplink interference exponent
 
 obtained from the ring integral 2 pi lambda_b int_R^inf (...) r dr by the
 substitution u = (r/R)^2 (which also shows Jout does not depend on the
-base-station density).  Ergodic spectral efficiencies follow by integrating
-e^(-N0 x)/(1+x) against the same Laplace factors; link rates weight them by
-the accessed bandwidth share, and the weighted proportional-fair partition
-eta* has the closed form implemented in :func:`optimal_partition`.
+base-station density).  :func:`outofcell_exponent` evaluates it in closed
+form.  Ergodic spectral efficiencies integrate e^(-N0 x)/(1+x) against the
+same Laplace factors, each as one dot product on the fixed rule
+:func:`~d2dshare.specfun.rate_rule`; link rates weight them by the accessed
+bandwidth share, and the weighted proportional-fair partition eta* has the
+closed form implemented in :func:`optimal_partition`.
 """
 
 from __future__ import annotations
@@ -36,15 +38,11 @@ from .model import (
     interference_constant,
 )
 from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     exp_integral_e1,
     golden_section_minimize,
     hyp2f1_kernel,
-    integrate_semiinfinite,
+    rate_rule,
     sinc_normalized,
-    _GK_NODES,
-    _GK_WEIGHTS,
 )
 
 __all__ = [
@@ -129,49 +127,43 @@ class RateReport:
 # Out-of-cell uplink interference exponent
 # ---------------------------------------------------------------------------
 
-def outofcell_exponent(x, alpha: float, abs_tol: float = 1e-12):
+_SERIES_X = 0.05  # below it Jout is summed from its Maclaurin series
+
+
+def outofcell_exponent(x, alpha: float):
     """Jout(x): the cellular out-of-cell interference exponent, vectorised.
 
-    Composite 15-point Gauss-Kronrod panels over octaves of u, truncated at
-    U where the second-order tail error bound b/(2+b) x^2 U^(1-alpha)/(alpha-1)
-    falls below ``abs_tol``; the dropped tail's first-order value
-    b/(1+b) x U^(1-alpha/2) / (alpha/2 - 1) is added back analytically.
+    Exact closed form in F(c; x) = 2F1(1, c; 1+c; -x) (``hyp2f1_kernel``),
+    with b = 2/alpha:
+
+        Jout(x) = b x / (2 (1 - b)) F(1 - b; x) - (1 - F(b; x)) / 2.
+
+    Expanding 1 - F termwise under the u-integral gives the Maclaurin series
+    b^2 sum_k (-1)^(k+1) x^k / (k^2 - b^2); splitting b^2/(k^2 - b^2) by
+    partial fractions turns its two halves into the series of F(1 - b; x) and
+    F(b; x), and analytic continuation extends the identity to every x >= 0
+    (DLMF 15.2, https://dlmf.nist.gov/15.2).  Below x = 0.05 the series
+    itself is summed (14 terms), avoiding the cancellation in 1 - F.  Each
+    entry depends only on its own x.
     """
     if not (alpha > 2.0):
         raise ParameterError(f"alpha must exceed 2, got {alpha}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ParameterError("SINR threshold must be nonnegative")
-    scalar = x_arr.ndim == 0
-    xs = np.atleast_1d(x_arr).astype(float)
-    out = np.zeros_like(xs)
-    pos = xs > 0.0
-    if pos.any():
-        b = 2.0 / alpha
-        xmax = float(xs[pos].max())
-        u_target = (b / (2.0 + b) * xmax * xmax / ((alpha - 1.0) * abs_tol)) ** (
-            1.0 / (alpha - 1.0)
-        )
-        n_oct = min(64, max(1, int(math.ceil(math.log2(max(2.0, u_target))))))
-        big_u = 2.0**n_oct
-        edges = 2.0 ** np.arange(0, n_oct + 1)
-        # two GK15 subpanels per octave
-        lo = np.repeat(edges[:-1], 2)
-        hi = np.repeat(edges[1:], 2)
-        mid = 0.5 * (np.repeat(edges[:-1], 2) + np.repeat(edges[1:], 2))
-        lo[1::2] = mid[1::2]
-        hi[0::2] = mid[0::2]
-        half = 0.5 * (hi - lo)
-        cen = 0.5 * (hi + lo)
-        u_nodes = (cen[:, None] + half[:, None] * _GK_NODES[None, :]).ravel()
-        w_nodes = (half[:, None] * _GK_WEIGHTS[None, :]).ravel()
-        pw = u_nodes ** (-alpha / 2.0)
-        z = xs[pos][:, None] * pw[None, :]
-        f = hyp2f1_kernel(b, z)
-        body = (w_nodes[None, :] * (1.0 - f)).sum(axis=1)
-        tail = (b / (1.0 + b)) * xs[pos] * big_u ** (1.0 - alpha / 2.0) / (alpha / 2.0 - 1.0)
-        out[pos] = body + tail
-    return float(out[0]) if scalar else out.reshape(x_arr.shape)
+    b = 2.0 / alpha
+    xs = np.atleast_1d(x_arr)
+    out = np.empty_like(xs)
+    small = xs < _SERIES_X
+    k = np.arange(14.0, 0.0, -1.0)  # highest power first, as np.polyval wants
+    series = np.append((-1.0) ** (k + 1.0) * b * b / (k * k - b * b), 0.0)
+    out[small] = np.polyval(series, xs[small])
+    big = xs[~small]
+    out[~small] = (
+        b * big / (2.0 * (1.0 - b)) * hyp2f1_kernel(1.0 - b, big)
+        - 0.5 * (1.0 - hyp2f1_kernel(b, big))
+    )
+    return float(out[0]) if x_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -225,33 +217,16 @@ def cellular_sinr_ccdf_dense_limit(params: NetworkParams, thresholds=None) -> Cc
 # Spectral efficiencies
 # ---------------------------------------------------------------------------
 
-def _rate_integral(
-    n0: float,
-    power_coef: float,
-    alpha: float,
-    extra_outofcell: bool = False,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def _rate_integral(n0: float, power_coef: float, alpha: float, outofcell: bool = False) -> float:
     """int_0^inf e^(-n0 x)/(1+x) * exp(-power_coef x^(2/alpha) [- Jout(x)]) dx."""
-    b = 2.0 / alpha
-
-    if extra_outofcell:
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-n0 * x - power_coef * x**b - outofcell_exponent(x, alpha)) / (1.0 + x)
-    else:
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return np.exp(-n0 * x - power_coef * x**b) / (1.0 + x)
-
-    return integrate_semiinfinite(f, spec)
+    x, w = rate_rule(n0)
+    exponent = power_coef * x ** (2.0 / alpha)
+    if outofcell:
+        exponent = exponent + outofcell_exponent(x, alpha)
+    return float(w @ np.exp(-exponent))
 
 
-def d2d_spectral_efficiency(
-    params: NetworkParams,
-    n0: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def d2d_spectral_efficiency(params: NetworkParams, n0: float | None = None) -> float:
     """Ergodic spectral efficiency of overlay D2D links.
 
     kappa * int e^(-N0 x)/(1+x) exp(-c x^(2/alpha)) dx, bounded between
@@ -262,7 +237,7 @@ def d2d_spectral_efficiency(
         return 0.0
     d = derive(params)
     noise = d.n0_equiv if n0 is None else n0
-    return params.kappa * _rate_integral(noise, d.c_mu, params.alpha, spec=spec)
+    return params.kappa * _rate_integral(noise, d.c_mu, params.alpha)
 
 
 def r_d_max(params: NetworkParams, n0: float | None = None) -> float:
@@ -271,11 +246,7 @@ def r_d_max(params: NetworkParams, n0: float | None = None) -> float:
     return params.kappa * math.exp(noise) * exp_integral_e1(noise)
 
 
-def r_d_min(
-    params: NetworkParams,
-    n0: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def r_d_min(params: NetworkParams, n0: float | None = None) -> float:
     """Fully loaded D2D efficiency limit (mu -> inf)."""
     if params.kappa == 0.0:
         return 0.0
@@ -286,7 +257,7 @@ def r_d_min(
         * params.lambda_ue
         / (params.xi * sinc_normalized(2.0 / params.alpha))
     )
-    return params.kappa * _rate_integral(noise, c_inf, params.alpha, spec=spec)
+    return params.kappa * _rate_integral(noise, c_inf, params.alpha)
 
 
 def scheduling_prefactor(ratio: float) -> float:
@@ -301,11 +272,7 @@ def scheduling_prefactor(ratio: float) -> float:
     return -math.expm1(-ratio) / ratio
 
 
-def cellular_spectral_efficiency(
-    params: NetworkParams,
-    n0: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def cellular_spectral_efficiency(params: NetworkParams, n0: float | None = None) -> float:
     """Ergodic spectral efficiency of overlay cellular uplinks.
 
     Scheduling prefactor times the rate integral carrying the out-of-cell
@@ -314,7 +281,7 @@ def cellular_spectral_efficiency(
     d = derive(params)
     noise = d.n0_equiv if n0 is None else n0
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
-    return pref * _rate_integral(noise, 0.0, params.alpha, extra_outofcell=True, spec=spec)
+    return pref * _rate_integral(noise, 0.0, params.alpha, outofcell=True)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +296,7 @@ def _utility(t_c: float, t_d: float, w_c: float, w_d: float) -> float:
     return w_c * math.log(t_c) + w_d * math.log(t_d)
 
 
-def overlay_rates(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateReport:
+def overlay_rates(params: NetworkParams) -> RateReport:
     """Per-class overlay rates for the configured partition eta.
 
     T_c = (1 - eta) R_c, T_d_hat = eta R_d, and T_d mixes them with the
@@ -347,8 +314,8 @@ def overlay_rates(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATU
     norm = params.bandwidth_normalization
     n0_c = d.n0_equiv * (1.0 - eta) if norm else d.n0_equiv
     n0_d = d.n0_equiv * eta if (norm and eta > 0.0) else d.n0_equiv
-    rc = cellular_spectral_efficiency(params, n0=n0_c, spec=spec)
-    rd = d2d_spectral_efficiency(params, n0=n0_d, spec=spec)
+    rc = cellular_spectral_efficiency(params, n0=n0_c)
+    rd = d2d_spectral_efficiency(params, n0=n0_d)
     p_cell = 1.0 - d.p_d2d_mode
     t_c = (1.0 - eta) * rc
     t_d_hat = eta * rd
@@ -374,7 +341,7 @@ def _partition_from_rates(rc: float, rd: float, w_c: float, w_d: float, xpm2: fl
     return 1.0 - (w_c / (w_c + w_d)) / (1.0 - inv_em1 * rc / rd)
 
 
-def optimal_partition(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def optimal_partition(params: NetworkParams) -> float:
     """Weighted proportional-fair optimal overlay partition eta* in [0, 1).
 
     Evaluated from the closed form with the partition-independent (raw,
@@ -383,8 +350,8 @@ def optimal_partition(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUAD
     whose maximiser it is.  Tends to w_d as mu grows.
     """
     d = derive(params)
-    rc = cellular_spectral_efficiency(params, n0=d.n0_equiv, spec=spec)
-    rd = d2d_spectral_efficiency(params, n0=d.n0_equiv, spec=spec)
+    rc = cellular_spectral_efficiency(params, n0=d.n0_equiv)
+    rd = d2d_spectral_efficiency(params, n0=d.n0_equiv)
     xpm2 = params.xi * math.pi * params.mu**2
     return _partition_from_rates(rc, rd, params.w_c, params.w_d, xpm2)
 
@@ -396,11 +363,7 @@ class JointOptimum:
     utility: float
 
 
-def joint_optimize_mu_eta(
-    params: NetworkParams,
-    mu_grid: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> JointOptimum:
+def joint_optimize_mu_eta(params: NetworkParams, mu_grid: Sequence[float]) -> JointOptimum:
     """Maximise utility over (mu, eta) with eta set to eta*(mu).
 
     Evaluates the partition-optimised utility on ``mu_grid``, then refines
@@ -413,9 +376,10 @@ def joint_optimize_mu_eta(
         raise ParameterError("mu_grid must be nonempty with positive entries")
     grid = np.sort(grid)
 
-    # The out-of-cell integral does not depend on mu: compute once.
-    n0 = params.n0
-    ic = _rate_integral(n0, 0.0, params.alpha, extra_outofcell=True, spec=spec)
+    # The rule and the out-of-cell integral do not depend on mu: compute once.
+    x, w = rate_rule(params.n0)
+    pow_b = x ** (2.0 / params.alpha)
+    ic = float(w @ np.exp(-outofcell_exponent(x, params.alpha)))
 
     def utility_at(mu: float) -> tuple[float, float]:
         lam_c = cellular_density(params, mu)
@@ -425,7 +389,7 @@ def joint_optimize_mu_eta(
             )
         rc = scheduling_prefactor(lam_c / params.lambda_b) * ic
         c = interference_constant(params, mu)
-        rd = params.kappa * _rate_integral(n0, c, params.alpha, spec=spec)
+        rd = params.kappa * float(w @ np.exp(-c * pow_b))
         xpm2 = params.xi * math.pi * mu * mu
         eta = _partition_from_rates(rc, rd, params.w_c, params.w_d, xpm2)
         if eta >= 1.0:  # cannot happen for finite rates; guard the log

@@ -32,16 +32,7 @@ from .overlay import (
     outofcell_exponent,
     scheduling_prefactor,
 )
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    bisect_nondecreasing,
-    golden_section_minimize,
-    integrate_semiinfinite,
-    sinc_normalized,
-    _GK_NODES,
-    _GK_WEIGHTS,
-)
+from .specfun import bisect_nondecreasing, golden_section_minimize, rate_rule, sinc_normalized
 
 __all__ = [
     "OutageBound",
@@ -76,23 +67,15 @@ def d2d_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfCurve:
     return CcdfCurve(thresholds=t, values=v, kind="analytical")
 
 
-def d2d_spectral_efficiency_underlay(
-    params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def d2d_spectral_efficiency_underlay(params: NetworkParams) -> float:
     """Per-subchannel ergodic spectral efficiency of underlay D2D links."""
     beta = _require_beta(params)
     if params.kappa == 0.0:
         return 0.0
     d = derive(params)
     b = 2.0 / params.alpha
-    coef_d2d = d.c_mu * beta
-    coef_cell = beta**b / (2.0 * sinc_normalized(b))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-d.n0_equiv * x - coef_d2d * x**b - coef_cell * x**b) / (1.0 + x)
-
-    return params.kappa * integrate_semiinfinite(f, spec)
+    coef = d.c_mu * beta + beta**b / (2.0 * sinc_normalized(b))
+    return params.kappa * _rate_integral(d.n0_equiv, coef, params.alpha)
 
 
 def cellular_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfCurve:
@@ -109,32 +92,26 @@ def cellular_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfC
     return CcdfCurve(thresholds=t, values=v, kind="analytical")
 
 
-def cellular_spectral_efficiency_underlay(
-    params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def cellular_spectral_efficiency_underlay(params: NetworkParams) -> float:
     """Ergodic spectral efficiency of underlay cellular uplinks."""
     beta = _require_beta(params)
     d = derive(params)
     b = 2.0 / params.alpha
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
     return pref * _rate_integral(
-        d.n0_equiv,
-        d.c_mu * beta ** (1.0 - b),
-        params.alpha,
-        extra_outofcell=True,
-        spec=spec,
+        d.n0_equiv, d.c_mu * beta ** (1.0 - b), params.alpha, outofcell=True
     )
 
 
-def underlay_rates(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> RateReport:
+def underlay_rates(params: NetworkParams) -> RateReport:
     """Per-class underlay rates: T_c = R_c, T_d_hat = beta R_d.
 
     Power splitting across the accessed subchannels is already inside the
     efficiency integrals, so no extra bandwidth normalisation applies.
     """
     d = derive(params)
-    rc = cellular_spectral_efficiency_underlay(params, spec=spec)
-    rd = d2d_spectral_efficiency_underlay(params, spec=spec)
+    rc = cellular_spectral_efficiency_underlay(params)
+    rd = d2d_spectral_efficiency_underlay(params)
     p_cell = 1.0 - d.p_d2d_mode
     t_c = rc
     t_d_hat = params.beta * rd
@@ -153,56 +130,28 @@ def underlay_rates(params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRAT
 # Spectrum-access optimisation
 # ---------------------------------------------------------------------------
 
-def _fixed_grid(n0: float, alpha: float):
-    """A fixed composite GK15 grid resolving every beta in [1e-4, 1].
-
-    The integrand family shares the envelope e^(-n0 x)/(1+x) with one
-    beta-dependent factor bounded by 1, so a single refined grid (octave
-    panels split in four) integrates the whole family; the beta-independent
-    pieces are precomputed once per optimisation run.
-    """
-    x_hi = max(2.0, 46.0 / n0)  # e^(-n0 x) < 1e-20 beyond
-    n_oct = min(64, int(math.ceil(math.log2(x_hi))))
-    edges = [0.0, 1.0]
-    for k in range(n_oct):
-        edges.append(2.0 ** (k + 1))
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(lo, hi, 5)
-        for a_, b_ in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (b_ - a_)
-            cen = 0.5 * (b_ + a_)
-            nodes.append(cen + half * _GK_NODES)
-            weights.append(half * _GK_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def optimal_access_factor(
-    params: NetworkParams, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def optimal_access_factor(params: NetworkParams) -> float:
     """Proportional-fair optimal spectrum access factor beta*.
 
     Single-variable numeric maximisation: a 32-point seed grid on
     [1e-4, 1] followed by golden-section refinement around the best point.
     Deterministic; the lower bracket excludes beta = 0 where the utility
-    diverges to -inf whenever D2D carries weight.
+    diverges to -inf whenever D2D carries weight.  Both efficiencies are dot
+    products on the rate rule, whose beta-independent parts are computed
+    once per call.
     """
     d = derive(params)
     b = 2.0 / params.alpha
     sinc_b = sinc_normalized(b)
-    nodes, weights = _fixed_grid(d.n0_equiv, params.alpha)
-    env = weights * np.exp(-d.n0_equiv * nodes) / (1.0 + nodes)
-    base_cell = env * np.exp(-outofcell_exponent(nodes, params.alpha))
-    pow_b = nodes**b
+    x, w = rate_rule(d.n0_equiv)
+    w_cell = w * np.exp(-outofcell_exponent(x, params.alpha))
+    pow_b = x**b
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
     p_d2d = d.p_d2d_mode
 
     def utility(beta: float) -> float:
-        rc = pref * float(np.dot(base_cell, np.exp(-d.c_mu * beta ** (1.0 - b) * pow_b)))
-        rd = params.kappa * float(
-            np.dot(env, np.exp(-(d.c_mu * beta + beta**b / (2.0 * sinc_b)) * pow_b))
-        )
+        rc = pref * float(w_cell @ np.exp(-d.c_mu * beta ** (1.0 - b) * pow_b))
+        rd = params.kappa * float(w @ np.exp(-(d.c_mu * beta + beta**b / (2.0 * sinc_b)) * pow_b))
         t_c = rc
         t_d = (1.0 - p_d2d) * rc + p_d2d * beta * rd
         return _utility(t_c, t_d, params.w_c, params.w_d)

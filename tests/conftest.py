@@ -15,5 +15,23 @@ def table1() -> NetworkParams:
 
 
 @pytest.fixture
+def jout_scipy():
+    """Jout(x, alpha) in closed form through scipy's hyp2f1, independent of the package.
+
+    With b = 2/alpha and F(c; x) = 2F1(1, c; 1+c; -x):
+    Jout = b x / (2 (1 - b)) F(1 - b; x) - (1 - F(b; x)) / 2.
+    """
+    from scipy import special as sps
+
+    def jout(x, alpha):
+        b = 2.0 / alpha
+        f_b = sps.hyp2f1(1.0, b, 1.0 + b, -x)
+        f_1b = sps.hyp2f1(1.0, 1.0 - b, 2.0 - b, -x)
+        return b * x / (2.0 * (1.0 - b)) * f_1b - (1.0 - f_b) / 2.0
+
+    return jout
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)

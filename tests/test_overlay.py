@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as sci_integrate
 from scipy import special as sps
 
-from d2dshare.model import NetworkParams, ParameterError, derive
+from d2dshare.model import NetworkParams, ParameterError, default_sinr_thresholds, derive
 from d2dshare.overlay import (
     CcdfCurve,
     DegenerateRateError,
@@ -117,15 +117,31 @@ def test_d2d_efficiency_scipy_oracle(table1):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # scipy roundoff notice at 1e-13
-def test_outofcell_exponent_scipy_oracle():
-    alpha = 3.5
-    b = 2.0 / alpha
-    for x in (0.01, 0.1, 1.0, 10.0, 100.0):
-        def g(u):
-            return 1.0 - sps.hyp2f1(1.0, b, 1.0 + b, -x * u ** (-alpha / 2.0))
+def test_outofcell_exponent_scipy_oracle(jout_scipy):
+    x = np.concatenate((np.logspace(-3.0, 6.0, 37), [0.0499, 0.05, 0.0501]))
+    for alpha in (2.1, 2.5, 3.5, 4.5, 6.0):
+        assert np.allclose(outofcell_exponent(x, alpha), jout_scipy(x, alpha), rtol=1e-12, atol=0.0)
+    # the closed form is the defining integral, where quad converges (its
+    # u^(-alpha/2) tail is too slow below alpha = 3.5)
+    for alpha in (3.5, 4.5, 6.0):
+        b = 2.0 / alpha
+        for x in (0.01, 0.1, 1.0, 10.0, 100.0):
+            def g(u):
+                return 1.0 - sps.hyp2f1(1.0, b, 1.0 + b, -x * u ** (-alpha / 2.0))
 
-        oracle, _ = sci_integrate.quad(g, 1.0, np.inf, limit=500, epsabs=1e-13, epsrel=1e-12)
-        assert outofcell_exponent(x, alpha) == pytest.approx(oracle, abs=1e-9)
+            oracle, _ = sci_integrate.quad(g, 1.0, np.inf, limit=500, epsabs=1e-13, epsrel=1e-12)
+            assert outofcell_exponent(x, alpha) == pytest.approx(oracle, abs=1e-9)
+
+
+def test_outofcell_exponent_is_batch_independent():
+    # each entry depends on its own threshold only, not on its neighbours
+    t = default_sinr_thresholds()
+    for alpha in (2.1, 2.5, 3.5, 6.0):
+        batch = outofcell_exponent(t, alpha)
+        assert batch.shape == t.shape
+        assert np.array_equal(batch, [outofcell_exponent(float(x), alpha) for x in t])
+        assert np.array_equal(outofcell_exponent(t[::-1], alpha), batch[::-1])
+        assert outofcell_exponent(t.reshape(6, 10), alpha).shape == (6, 10)
 
 
 def test_outofcell_exponent_small_threshold_asymptote():
@@ -207,6 +223,20 @@ def test_cellular_efficiency_scipy_oracle(table1):
     inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-10, epsrel=1e-9)
     oracle = scheduling_prefactor(d.lambda_c / table1.lambda_b) * inner
     assert cellular_spectral_efficiency(table1) == pytest.approx(oracle, rel=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [2.2, 2.5])
+def test_cellular_efficiency_small_alpha_scipy_oracle(table1, jout_scipy, alpha):
+    # small pathloss exponents, where a quadrature for Jout converges slowest
+    p = table1.replace(alpha=alpha, snr_m_db=10.0)
+    d = derive(p)
+
+    def f(x):
+        return math.exp(-d.n0_equiv * x - jout_scipy(x, alpha)) / (1.0 + x)
+
+    inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
+    oracle = scheduling_prefactor(d.lambda_c / p.lambda_b) * inner
+    assert cellular_spectral_efficiency(p) == pytest.approx(oracle, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

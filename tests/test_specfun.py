@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate as sci_integrate
 from scipy import special as sps
 
 from d2dshare.specfun import (
@@ -22,6 +23,7 @@ from d2dshare.specfun import (
     hyp2f1_kernel,
     integrate_semiinfinite,
     lower_incomplete_gamma,
+    rate_rule,
     sinc_normalized,
 )
 
@@ -255,6 +257,58 @@ def test_all_operations_bit_identical():
     assert sinc_normalized(0.571) == sinc_normalized(0.571)
     z = np.logspace(-3, 3, 15)
     assert np.array_equal(hyp2f1_kernel(0.6, z), hyp2f1_kernel(0.6, z))
+
+
+# ---------------------------------------------------------------------------
+# fixed rate rule
+# ---------------------------------------------------------------------------
+
+_REFERENCE = QuadratureSpec(
+    relative_tolerance=1e-12, absolute_tolerance=1e-15, max_subdivisions=20000
+)
+
+
+@pytest.mark.parametrize("alpha", [2.1, 2.5, 3.5, 6.0])
+def test_rate_rule_matches_adaptive_quadrature(alpha):
+    # every rate is dot(w, exp(-coef x^b [- Jout(x)])) on the rule; the
+    # adaptive integrator is the reference
+    from d2dshare.overlay import outofcell_exponent
+
+    b = 2.0 / alpha
+    for snr_db in (-10.0, 10.0, 40.0):
+        n0 = 10.0 ** (-snr_db / 10.0)
+        x, w = rate_rule(n0)
+        jout = outofcell_exponent(x, alpha)
+        for coef in (0.0, 1.0, 100.0):
+            for on in (0.0, 1.0):
+                rule = w @ np.exp(-coef * x**b - on * jout)
+
+                def f(t):
+                    exponent = n0 * t + coef * t**b + on * outofcell_exponent(t, alpha)
+                    return np.exp(-exponent) / (1.0 + t)
+
+                assert rule == pytest.approx(integrate_semiinfinite(f, _REFERENCE), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, coef", [(6.0, 1e4), (10.0, 1e3), (20.0, 10.0)])
+def test_rate_rule_resolves_the_cusp_at_zero(alpha, coef):
+    # large coefficients at large alpha put the whole integral far below x = 1;
+    # the oracle substitutes y = coef x^b, which leaves a smooth integrand
+    n0, b = 0.1, 2.0 / alpha
+    x, w = rate_rule(n0)
+
+    def g(y):
+        t = (y / coef) ** (1.0 / b)
+        return math.exp(-n0 * t - y) / (1.0 + t) * t / (b * y)
+
+    oracle, _ = sci_integrate.quad(g, 0.0, np.inf, limit=500, epsabs=0.0, epsrel=1e-13)
+    assert w @ np.exp(-coef * x**b) == pytest.approx(oracle, rel=1e-9)
+
+
+def test_rate_rule_validation():
+    for bad in (0.0, -1.0, 1e-310, float("nan")):
+        with pytest.raises(DomainError):
+            rate_rule(bad)
 
 
 def test_quadrature_spec_validation():

@@ -162,6 +162,24 @@ def test_cellular_efficiency_scipy_oracle(table1):
     assert cellular_spectral_efficiency_underlay(p) == pytest.approx(oracle, rel=1e-7)
 
 
+@pytest.mark.parametrize("alpha", [2.2, 2.5])
+def test_cellular_efficiency_small_alpha_scipy_oracle(table1, jout_scipy, alpha):
+    # small pathloss exponents, where a quadrature for Jout converges slowest
+    from d2dshare.overlay import scheduling_prefactor
+
+    p = table1.replace(alpha=alpha, snr_m_db=10.0, beta=0.6)
+    b = 2.0 / alpha
+    d = derive(p)
+    coef = d.c_mu * p.beta ** (1.0 - b)
+
+    def f(x):
+        return math.exp(-d.n0_equiv * x - coef * x**b - jout_scipy(x, alpha)) / (1.0 + x)
+
+    inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
+    oracle = scheduling_prefactor(d.lambda_c / p.lambda_b) * inner
+    assert cellular_spectral_efficiency_underlay(p) == pytest.approx(oracle, rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # Rates
 # ---------------------------------------------------------------------------
@@ -234,8 +252,9 @@ def test_access_factor_local_optimality(table1):
 
 
 def test_access_factor_internal_grid_agrees_with_adaptive(table1):
-    # the optimiser's fixed-grid evaluator must reproduce the public
-    # adaptive-quadrature utilities across the search range
+    # the optimiser evaluates its utility on the shared rate rule with the
+    # beta-independent factors hoisted; its optimum must also be a local
+    # optimum of the public underlay_rates utility
     p = table1.replace(q=0.8)
     star = optimal_access_factor(p)
     assert 0.0 < star < 1.0
