@@ -9,26 +9,13 @@ underlay maximiser shifts left as q grows.
 
 import argparse
 import csv
-import math
 import pathlib
 
 import numpy as np
 
-from d2dshare import NetworkParams, derive
-from d2dshare.overlay import cellular_spectral_efficiency, d2d_spectral_efficiency
+from d2dshare import NetworkParams
+from d2dshare.overlay import overlay_rates
 from d2dshare.underlay import optimal_access_factor, underlay_rates
-
-
-def overlay_utility_curve(params, etas):
-    d = derive(params)
-    rc = cellular_spectral_efficiency(params)
-    rd = d2d_spectral_efficiency(params)
-    rows = []
-    for eta in etas:
-        t_c = (1.0 - eta) * rc
-        t_d = (1.0 - d.p_d2d_mode) * t_c + d.p_d2d_mode * eta * rd
-        rows.append((float(eta), params.w_c * math.log(t_c) + params.w_d * math.log(t_d)))
-    return rows
 
 
 def main():
@@ -44,7 +31,8 @@ def main():
     betas = np.linspace(0.02, 1.0, 50)
 
     for q in (0.1, 0.2, 0.4):
-        rows = overlay_utility_curve(base.replace(q=q, mu=args.mu), etas)
+        p = base.replace(q=q, mu=args.mu)
+        rows = [(float(e), overlay_rates(p.replace(eta=float(e))).utility) for e in etas]
         path = outdir / f"overlay_utility_q{q:.1f}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

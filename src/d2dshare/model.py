@@ -27,7 +27,6 @@ __all__ = [
     "derive",
     "d2d_distance_cdf",
     "default_sinr_thresholds",
-    "db_to_linear",
     "linear_to_db",
 ]
 
@@ -36,10 +35,6 @@ _W_SUM_TOL = 1e-12
 
 class ParameterError(ValueError):
     """A parameter combination violates a model invariant."""
-
-
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
 
 
 def linear_to_db(x: float) -> float:

@@ -14,18 +14,20 @@ Jout(x) is the out-of-cell uplink interference exponent
 obtained from the ring integral 2 pi lambda_b int_R^inf (...) r dr by the
 substitution u = (r/R)^2 (which also shows Jout does not depend on the
 base-station density).  :func:`outofcell_exponent` evaluates it in closed
-form.  Ergodic spectral efficiencies integrate e^(-N0 x)/(1+x) against the
-same Laplace factors, each as one dot product on the fixed rule
-:func:`~d2dshare.specfun.rate_rule`; link rates weight them by the accessed
-bandwidth share, and the weighted proportional-fair partition eta* has the
-closed form implemented in :func:`optimal_partition`.
+form.  Every link, overlay or underlay, has the law exp(-N0 x - k x^(2/alpha)
+[- Jout(x)]) with its own coefficient k: :func:`link_ccdf` tabulates it and
+:func:`rate_evaluator` gives its ergodic rate integral as one dot product on
+the fixed rule :func:`~d2dshare.specfun.rate_rule`.  :meth:`RateReport.mix`
+weights the efficiencies by bandwidth share and mode, and the weighted
+proportional-fair partition eta* has the closed form of
+:func:`optimal_partition`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,11 +35,13 @@ from .model import (
     NetworkParams,
     ParameterError,
     cellular_density,
+    d2d_distance_cdf,
     derive,
     default_sinr_thresholds,
     interference_constant,
 )
 from .specfun import (
+    DomainError,
     exp_integral_e1,
     golden_section_minimize,
     hyp2f1_kernel,
@@ -51,6 +55,8 @@ __all__ = [
     "RateReport",
     "JointOptimum",
     "outofcell_exponent",
+    "link_ccdf",
+    "rate_evaluator",
     "d2d_sinr_ccdf",
     "d2d_spectral_efficiency",
     "r_d_max",
@@ -122,6 +128,26 @@ class RateReport:
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be nonnegative")
 
+    @classmethod
+    def mix(cls, params: NetworkParams, p_d2d: float, r_c: float, share_c: float,
+            r_d: float, share_d: float) -> "RateReport":
+        """Rates and utility from the two efficiencies and their bandwidth shares.
+
+        T_c = share_c R_c and T_d_hat = share_d R_d; a potential-D2D user is in
+        D2D mode with probability ``p_d2d``, so T_d = (1 - p_d2d) T_c +
+        p_d2d T_d_hat.  The utility w_c log T_c + w_d log T_d raises
+        :class:`DegenerateRateError` when either rate is zero.
+        """
+        t_c = share_c * r_c
+        t_d_hat = share_d * r_d
+        t_d = (1.0 - p_d2d) * t_c + p_d2d * t_d_hat
+        if t_c <= 0.0 or t_d <= 0.0:
+            raise DegenerateRateError(
+                f"proportional-fair utility is -inf at T_c={t_c:.3g}, T_d={t_d:.3g}"
+            )
+        utility = params.w_c * math.log(t_c) + params.w_d * math.log(t_d)
+        return cls(r_c=r_c, r_d=r_d, t_c=t_c, t_d=t_d, t_d_hat=t_d_hat, utility=utility)
+
 
 # ---------------------------------------------------------------------------
 # Out-of-cell uplink interference exponent
@@ -177,12 +203,22 @@ def _as_threshold_array(thresholds) -> np.ndarray:
     return t
 
 
+def link_ccdf(params: NetworkParams, k: float, thresholds=None, outofcell: bool = False) -> CcdfCurve:
+    """The SINR law exp(-N0 x - k x^(2/alpha) [- Jout(x)]) of every link.
+
+    Uses only N0 and alpha of ``params``; ``k`` is the link's interference
+    coefficient and ``outofcell`` adds the out-of-cell exponent of uplinks.
+    """
+    t = _as_threshold_array(thresholds)
+    exponent = params.n0 * t + k * t ** (2.0 / params.alpha)
+    if outofcell:
+        exponent = exponent + outofcell_exponent(t, params.alpha)
+    return CcdfCurve(thresholds=t, values=np.exp(-exponent), kind="analytical")
+
+
 def d2d_sinr_ccdf(params: NetworkParams, thresholds=None) -> CcdfCurve:
     """CCDF of the typical overlay D2D link SINR: exp(-N0 x - c x^(2/alpha))."""
-    t = _as_threshold_array(thresholds)
-    d = derive(params)
-    v = np.exp(-d.n0_equiv * t - d.c_mu * t ** (2.0 / params.alpha))
-    return CcdfCurve(thresholds=t, values=v, kind="analytical")
+    return link_ccdf(params, derive(params).c_mu, thresholds)
 
 
 def cellular_sinr_ccdf(params: NetworkParams, thresholds=None) -> CcdfCurve:
@@ -192,9 +228,7 @@ def cellular_sinr_ccdf(params: NetworkParams, thresholds=None) -> CcdfCurve:
     normalised out-of-cell integral, so no scheduling-feasibility check is
     required here.
     """
-    t = _as_threshold_array(thresholds)
-    v = np.exp(-params.n0 * t - outofcell_exponent(t, params.alpha))
-    return CcdfCurve(thresholds=t, values=v, kind="analytical")
+    return link_ccdf(params, 0.0, thresholds, outofcell=True)
 
 
 def cellular_sinr_ccdf_sparse_limit(params: NetworkParams, thresholds=None) -> CcdfCurve:
@@ -207,23 +241,37 @@ def cellular_sinr_ccdf_sparse_limit(params: NetworkParams, thresholds=None) -> C
 
 def cellular_sinr_ccdf_dense_limit(params: NetworkParams, thresholds=None) -> CcdfCurve:
     """Interference-limited closed form exp(-N0 x - x^(2/alpha)/(2 sinc(2/alpha)))."""
-    t = _as_threshold_array(thresholds)
-    a = params.alpha
-    v = np.exp(-params.n0 * t - t ** (2.0 / a) / (2.0 * sinc_normalized(2.0 / a)))
-    return CcdfCurve(thresholds=t, values=v, kind="analytical")
+    return link_ccdf(params, 0.5 / sinc_normalized(2.0 / params.alpha), thresholds)
 
 
 # ---------------------------------------------------------------------------
 # Spectral efficiencies
 # ---------------------------------------------------------------------------
 
-def _rate_integral(n0: float, power_coef: float, alpha: float, outofcell: bool = False) -> float:
-    """int_0^inf e^(-n0 x)/(1+x) * exp(-power_coef x^(2/alpha) [- Jout(x)]) dx."""
+def rate_evaluator(n0: float, alpha: float, outofcell: bool = False) -> Callable[[float], float]:
+    """The rate integral k -> int_0^inf e^(-n0 x)/(1+x) exp(-k x^(2/alpha) [- Jout(x)]) dx.
+
+    Builds :func:`~d2dshare.specfun.rate_rule`, x^(2/alpha) and, with
+    ``outofcell``, Jout on the rule's nodes once; each call is then one
+    exponential and one dot product.  A call raises
+    :class:`~d2dshare.specfun.DomainError` when k 2^(-120/alpha) exceeds 0.1,
+    beyond which the rule does not resolve the x^(2/alpha) cusp at 0.
+    """
     x, w = rate_rule(n0)
-    exponent = power_coef * x ** (2.0 / alpha)
-    if outofcell:
-        exponent = exponent + outofcell_exponent(x, alpha)
-    return float(w @ np.exp(-exponent))
+    pow_b = x ** (2.0 / alpha)
+    jout = outofcell_exponent(x, alpha) if outofcell else None
+    k_max = 0.1 * 2.0 ** (120.0 / alpha)
+
+    def rate(k: float) -> float:
+        if k > k_max:
+            raise DomainError(f"coefficient k={k:.6g} exceeds the rate rule's limit "
+                              f"{k_max:.6g} at alpha={alpha:g}")
+        log_g = -k * pow_b
+        if jout is not None:
+            log_g -= jout
+        return float(w @ np.exp(log_g, out=log_g))
+
+    return rate
 
 
 def d2d_spectral_efficiency(params: NetworkParams, n0: float | None = None) -> float:
@@ -237,27 +285,25 @@ def d2d_spectral_efficiency(params: NetworkParams, n0: float | None = None) -> f
         return 0.0
     d = derive(params)
     noise = d.n0_equiv if n0 is None else n0
-    return params.kappa * _rate_integral(noise, d.c_mu, params.alpha)
+    return params.kappa * rate_evaluator(noise, params.alpha)(d.c_mu)
 
 
-def r_d_max(params: NetworkParams, n0: float | None = None) -> float:
+def r_d_max(params: NetworkParams) -> float:
     """Interference-free D2D efficiency limit (mu -> 0): kappa e^N0 E1(N0)."""
-    noise = params.n0 if n0 is None else n0
-    return params.kappa * math.exp(noise) * exp_integral_e1(noise)
+    return params.kappa * math.exp(params.n0) * exp_integral_e1(params.n0)
 
 
-def r_d_min(params: NetworkParams, n0: float | None = None) -> float:
+def r_d_min(params: NetworkParams) -> float:
     """Fully loaded D2D efficiency limit (mu -> inf)."""
     if params.kappa == 0.0:
         return 0.0
-    noise = params.n0 if n0 is None else n0
     c_inf = (
         params.kappa
         * params.q
         * params.lambda_ue
         / (params.xi * sinc_normalized(2.0 / params.alpha))
     )
-    return params.kappa * _rate_integral(noise, c_inf, params.alpha)
+    return params.kappa * rate_evaluator(params.n0, params.alpha)(c_inf)
 
 
 def scheduling_prefactor(ratio: float) -> float:
@@ -281,20 +327,12 @@ def cellular_spectral_efficiency(params: NetworkParams, n0: float | None = None)
     d = derive(params)
     noise = d.n0_equiv if n0 is None else n0
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
-    return pref * _rate_integral(noise, 0.0, params.alpha, outofcell=True)
+    return pref * rate_evaluator(noise, params.alpha, outofcell=True)(0.0)
 
 
 # ---------------------------------------------------------------------------
 # Rates and spectrum-partition optimisation
 # ---------------------------------------------------------------------------
-
-def _utility(t_c: float, t_d: float, w_c: float, w_d: float) -> float:
-    if t_c <= 0.0 or t_d <= 0.0:
-        raise DegenerateRateError(
-            f"proportional-fair utility is -inf at T_c={t_c:.3g}, T_d={t_d:.3g}"
-        )
-    return w_c * math.log(t_c) + w_d * math.log(t_d)
-
 
 def overlay_rates(params: NetworkParams) -> RateReport:
     """Per-class overlay rates for the configured partition eta.
@@ -316,18 +354,7 @@ def overlay_rates(params: NetworkParams) -> RateReport:
     n0_d = d.n0_equiv * eta if (norm and eta > 0.0) else d.n0_equiv
     rc = cellular_spectral_efficiency(params, n0=n0_c)
     rd = d2d_spectral_efficiency(params, n0=n0_d)
-    p_cell = 1.0 - d.p_d2d_mode
-    t_c = (1.0 - eta) * rc
-    t_d_hat = eta * rd
-    t_d = p_cell * t_c + d.p_d2d_mode * t_d_hat
-    return RateReport(
-        r_c=rc,
-        r_d=rd,
-        t_c=t_c,
-        t_d=t_d,
-        t_d_hat=t_d_hat,
-        utility=_utility(t_c, t_d, params.w_c, params.w_d),
-    )
+    return RateReport.mix(params, d.p_d2d_mode, rc, 1.0 - eta, rd, eta)
 
 
 def _partition_from_rates(rc: float, rd: float, w_c: float, w_d: float, xpm2: float) -> float:
@@ -349,9 +376,8 @@ def optimal_partition(params: NetworkParams) -> float:
     u(eta) = w_c log((1-eta) R_c) + w_d log((1-eta) a R_c + eta (1-a) R_d)
     whose maximiser it is.  Tends to w_d as mu grows.
     """
-    d = derive(params)
-    rc = cellular_spectral_efficiency(params, n0=d.n0_equiv)
-    rd = d2d_spectral_efficiency(params, n0=d.n0_equiv)
+    rc = cellular_spectral_efficiency(params)
+    rd = d2d_spectral_efficiency(params)
     xpm2 = params.xi * math.pi * params.mu**2
     return _partition_from_rates(rc, rd, params.w_c, params.w_d, xpm2)
 
@@ -376,10 +402,9 @@ def joint_optimize_mu_eta(params: NetworkParams, mu_grid: Sequence[float]) -> Jo
         raise ParameterError("mu_grid must be nonempty with positive entries")
     grid = np.sort(grid)
 
-    # The rule and the out-of-cell integral do not depend on mu: compute once.
-    x, w = rate_rule(params.n0)
-    pow_b = x ** (2.0 / params.alpha)
-    ic = float(w @ np.exp(-outofcell_exponent(x, params.alpha)))
+    # The cellular rate integral does not depend on mu: evaluate it once.
+    d2d_rate = rate_evaluator(params.n0, params.alpha)
+    ic = rate_evaluator(params.n0, params.alpha, outofcell=True)(0.0)
 
     def utility_at(mu: float) -> tuple[float, float]:
         lam_c = cellular_density(params, mu)
@@ -388,25 +413,16 @@ def joint_optimize_mu_eta(params: NetworkParams, mu_grid: Sequence[float]) -> Jo
                 f"mu={mu:g} drives lambda_c below lambda_b; utility undefined"
             )
         rc = scheduling_prefactor(lam_c / params.lambda_b) * ic
-        c = interference_constant(params, mu)
-        rd = params.kappa * float(w @ np.exp(-c * pow_b))
-        xpm2 = params.xi * math.pi * mu * mu
-        eta = _partition_from_rates(rc, rd, params.w_c, params.w_d, xpm2)
+        rd = params.kappa * d2d_rate(interference_constant(params, mu))
+        eta = _partition_from_rates(rc, rd, params.w_c, params.w_d, params.xi * math.pi * mu * mu)
         if eta >= 1.0:  # cannot happen for finite rates; guard the log
             eta = 1.0 - 1e-12
-        a = math.exp(-xpm2)
-        t_c = (1.0 - eta) * rc
-        t_d = a * t_c + (1.0 - a) * eta * rd
-        return _utility(t_c, t_d, params.w_c, params.w_d), eta
+        p_d2d = d2d_distance_cdf(params.xi, mu)
+        return RateReport.mix(params, p_d2d, rc, 1.0 - eta, rd, eta).utility, eta
 
-    values = []
-    etas = []
-    for m in grid:
-        u, e = utility_at(float(m))
-        values.append(u)
-        etas.append(e)
-    best = int(np.argmax(values))  # first index on ties: lowest mu
-    mu_best, u_best, eta_best = float(grid[best]), values[best], etas[best]
+    values = [utility_at(float(m)) for m in grid]
+    best = int(np.argmax([u for u, _ in values]))  # first index on ties: lowest mu
+    mu_best, (u_best, eta_best) = float(grid[best]), values[best]
 
     if grid.size > 1:
         lo = float(grid[max(best - 1, 0)])

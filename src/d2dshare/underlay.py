@@ -8,10 +8,12 @@ With cross-tier interference the SINR CCDFs become
     cellular link: exp(-N0 x - c beta^(1-2/a) x^(2/a) - Jout(x))
 
 with a = alpha, c the D2D interference constant and Jout the out-of-cell
-exponent shared with the overlay analysis.  Rates follow the same ergodic
-integrals; the spectrum access factor beta* is found numerically (no closed
-form exists), and the coverage-constraint bounds on beta implement the
-outage-budget inequalities for both link classes.
+exponent shared with the overlay analysis.  Both are the overlay law with the
+coefficients k of :func:`_link_coefficients`, so CCDFs, rates and the beta*
+search reuse the overlay module's law, rate evaluator and rate mixture.  The
+spectrum access factor beta* is found numerically (no closed form exists), and
+the coverage-constraint bounds on beta implement the outage-budget
+inequalities for both link classes.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from .model import NetworkParams, ParameterError, derive
 from .overlay import (
     CcdfCurve,
     RateReport,
-    _as_threshold_array,
-    _rate_integral,
-    _utility,
+    link_ccdf,
     outofcell_exponent,
+    rate_evaluator,
     scheduling_prefactor,
 )
-from .specfun import bisect_nondecreasing, golden_section_minimize, rate_rule, sinc_normalized
+from .specfun import bisect_nondecreasing, golden_section_minimize, sinc_normalized
 
 __all__ = [
     "OutageBound",
@@ -56,15 +57,22 @@ def _require_beta(params: NetworkParams) -> float:
     return params.beta
 
 
+def _link_coefficients(c: float, beta: float, alpha: float) -> tuple[float, float]:
+    """Coefficients k of x^(2/alpha) in the underlay (D2D, cellular) SINR laws.
+
+    D2D: c beta + beta^(2/a)/(2 sinc(2/a)), its own tier thinned by beta plus
+    the cellular tier; cellular: c beta^(1-2/a), the D2D tier, whose power is
+    split over the beta B accessed subchannels.
+    """
+    b = 2.0 / alpha
+    return c * beta + beta**b / (2.0 * sinc_normalized(b)), c * beta ** (1.0 - b)
+
+
 def d2d_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfCurve:
     """CCDF of the typical underlay D2D link SINR."""
     beta = _require_beta(params)
-    t = _as_threshold_array(thresholds)
-    d = derive(params)
-    b = 2.0 / params.alpha
-    cell_term = (beta * t) ** b / (2.0 * sinc_normalized(b))
-    v = np.exp(-d.n0_equiv * t - d.c_mu * beta * t**b - cell_term)
-    return CcdfCurve(thresholds=t, values=v, kind="analytical")
+    k_d, _ = _link_coefficients(derive(params).c_mu, beta, params.alpha)
+    return link_ccdf(params, k_d, thresholds)
 
 
 def d2d_spectral_efficiency_underlay(params: NetworkParams) -> float:
@@ -73,34 +81,24 @@ def d2d_spectral_efficiency_underlay(params: NetworkParams) -> float:
     if params.kappa == 0.0:
         return 0.0
     d = derive(params)
-    b = 2.0 / params.alpha
-    coef = d.c_mu * beta + beta**b / (2.0 * sinc_normalized(b))
-    return params.kappa * _rate_integral(d.n0_equiv, coef, params.alpha)
+    k_d, _ = _link_coefficients(d.c_mu, beta, params.alpha)
+    return params.kappa * rate_evaluator(d.n0_equiv, params.alpha)(k_d)
 
 
 def cellular_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfCurve:
     """CCDF of the typical underlay uplink SINR (adds the D2D tier term)."""
     beta = _require_beta(params)
-    t = _as_threshold_array(thresholds)
-    d = derive(params)
-    b = 2.0 / params.alpha
-    v = np.exp(
-        -d.n0_equiv * t
-        - d.c_mu * beta ** (1.0 - b) * t**b
-        - outofcell_exponent(t, params.alpha)
-    )
-    return CcdfCurve(thresholds=t, values=v, kind="analytical")
+    _, k_c = _link_coefficients(derive(params).c_mu, beta, params.alpha)
+    return link_ccdf(params, k_c, thresholds, outofcell=True)
 
 
 def cellular_spectral_efficiency_underlay(params: NetworkParams) -> float:
     """Ergodic spectral efficiency of underlay cellular uplinks."""
     beta = _require_beta(params)
     d = derive(params)
-    b = 2.0 / params.alpha
+    _, k_c = _link_coefficients(d.c_mu, beta, params.alpha)
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
-    return pref * _rate_integral(
-        d.n0_equiv, d.c_mu * beta ** (1.0 - b), params.alpha, outofcell=True
-    )
+    return pref * rate_evaluator(d.n0_equiv, params.alpha, outofcell=True)(k_c)
 
 
 def underlay_rates(params: NetworkParams) -> RateReport:
@@ -109,21 +107,9 @@ def underlay_rates(params: NetworkParams) -> RateReport:
     Power splitting across the accessed subchannels is already inside the
     efficiency integrals, so no extra bandwidth normalisation applies.
     """
-    d = derive(params)
     rc = cellular_spectral_efficiency_underlay(params)
     rd = d2d_spectral_efficiency_underlay(params)
-    p_cell = 1.0 - d.p_d2d_mode
-    t_c = rc
-    t_d_hat = params.beta * rd
-    t_d = p_cell * t_c + d.p_d2d_mode * t_d_hat
-    return RateReport(
-        r_c=rc,
-        r_d=rd,
-        t_c=t_c,
-        t_d=t_d,
-        t_d_hat=t_d_hat,
-        utility=_utility(t_c, t_d, params.w_c, params.w_d),
-    )
+    return RateReport.mix(params, derive(params).p_d2d_mode, rc, 1.0, rd, params.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +122,20 @@ def optimal_access_factor(params: NetworkParams) -> float:
     Single-variable numeric maximisation: a 32-point seed grid on
     [1e-4, 1] followed by golden-section refinement around the best point.
     Deterministic; the lower bracket excludes beta = 0 where the utility
-    diverges to -inf whenever D2D carries weight.  Both efficiencies are dot
-    products on the rate rule, whose beta-independent parts are computed
-    once per call.
+    diverges to -inf whenever D2D carries weight.  Both efficiencies come
+    from :func:`~d2dshare.overlay.rate_evaluator`, built once per call, so
+    each step is two dot products on the rate rule.
     """
     d = derive(params)
-    b = 2.0 / params.alpha
-    sinc_b = sinc_normalized(b)
-    x, w = rate_rule(d.n0_equiv)
-    w_cell = w * np.exp(-outofcell_exponent(x, params.alpha))
-    pow_b = x**b
+    cell_rate = rate_evaluator(d.n0_equiv, params.alpha, outofcell=True)
+    d2d_rate = rate_evaluator(d.n0_equiv, params.alpha)
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
-    p_d2d = d.p_d2d_mode
 
     def utility(beta: float) -> float:
-        rc = pref * float(w_cell @ np.exp(-d.c_mu * beta ** (1.0 - b) * pow_b))
-        rd = params.kappa * float(w @ np.exp(-(d.c_mu * beta + beta**b / (2.0 * sinc_b)) * pow_b))
-        t_c = rc
-        t_d = (1.0 - p_d2d) * rc + p_d2d * beta * rd
-        return _utility(t_c, t_d, params.w_c, params.w_d)
+        k_d, k_c = _link_coefficients(d.c_mu, beta, params.alpha)
+        rc = pref * cell_rate(k_c)
+        rd = params.kappa * d2d_rate(k_d)
+        return RateReport.mix(params, d.p_d2d_mode, rc, 1.0, rd, beta).utility
 
     grid = np.linspace(_BETA_SEARCH_FLOOR, 1.0, 32)
     values = [utility(float(g)) for g in grid]

@@ -178,6 +178,15 @@ def test_degenerate_sweep_value_is_numerical_error(tmp_path):
     assert main(["sweep", str(cfgfile), "--output", str(tmp_path / "s.csv")]) == 3
 
 
+def test_rate_beyond_the_quadrature_rule_is_numerical_error(tmp_path):
+    # alpha = 20 and lambda_ue/xi = 2000: the D2D coefficient is beyond what
+    # the rate rule resolves, so the rate is refused instead of misreported
+    xi = NetworkParams().lambda_b / 200.0
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(f"alpha = 20\nq = 0.5\nxi = {xi!r}\nmu = 5e5\n")
+    assert main(["analyze", str(cfgfile), "--output", str(tmp_path / "a.csv")]) == 3
+
+
 def test_feasibility_curves(tmp_path):
     out = tmp_path / "feas.csv"
     assert main([

@@ -23,9 +23,10 @@ from d2dshare.overlay import (
     overlay_rates,
     r_d_max,
     r_d_min,
+    rate_evaluator,
     scheduling_prefactor,
 )
-from d2dshare.specfun import golden_section_minimize, sinc_normalized
+from d2dshare.specfun import DomainError, golden_section_minimize, sinc_normalized
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,39 @@ def test_d2d_efficiency_scipy_oracle(table1):
 
     oracle, _ = sci_integrate.quad(f, 0.0, np.inf, limit=300, epsabs=1e-12, epsrel=1e-11)
     assert d2d_spectral_efficiency(table1) == pytest.approx(oracle, rel=1e-8)
+
+
+def _large_alpha_point(table1, lam_over_xi):
+    # alpha = 20 with a long D2D link scale: c ~ q lam/(xi sinc(0.1)) is large
+    return table1.replace(alpha=20.0, q=0.5, xi=table1.lambda_ue / lam_over_xi, mu=5e5)
+
+
+def test_rate_evaluator_rejects_coefficients_beyond_the_rule(table1):
+    # c 2^(-120/alpha) = 15.9 here, beyond the rule's 0.1; the rule would read
+    # 2.2988e-24 against quad's 3.0767e-24
+    p = _large_alpha_point(table1, 10.0 * 200.0)
+    assert derive(p).c_mu * 2.0 ** (-120.0 / p.alpha) > 0.1
+    with pytest.raises(DomainError):
+        d2d_spectral_efficiency(p)
+    with pytest.raises(DomainError):
+        r_d_min(p)
+
+
+def test_rate_evaluator_just_inside_the_rule_matches_quad(table1):
+    p = _large_alpha_point(table1, 12.0)
+    d = derive(p)
+    k_scaled = d.c_mu * 2.0 ** (-120.0 / p.alpha)
+    assert 0.09 < k_scaled <= 0.1
+    b = 2.0 / p.alpha
+
+    def g(y):  # y = c x^b leaves a smooth integrand
+        t = (y / d.c_mu) ** (1.0 / b)
+        return math.exp(-d.n0_equiv * t - y) / (1.0 + t) * t / (b * y)
+
+    oracle, _ = sci_integrate.quad(g, 0.0, np.inf, limit=500, epsabs=0.0, epsrel=1e-13)
+    assert d2d_spectral_efficiency(p) == pytest.approx(oracle, rel=1e-9)
+    with pytest.raises(DomainError):
+        rate_evaluator(p.n0, p.alpha)(0.1001 * 2.0 ** (120.0 / p.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +411,12 @@ def test_joint_optimization_local_optimality(table1):
         eta_probe = opt.eta + deta
         if 0.0 < eta_probe < 1.0:
             assert utility(opt.mu, opt.eta) >= utility(opt.mu, eta_probe)
+
+
+def test_joint_optimum_utility_is_the_overlay_rate_report(table1):
+    # the optimiser and overlay_rates share one mode mixture, so the optimum's
+    # utility is exactly the one reported at (mu*, eta*)
+    p = table1.replace(alpha=3.5, snr_m_db=40.0, q=0.8)
+    opt = joint_optimize_mu_eta(p, np.arange(50.0, 1001.0, 50.0))
+    report = overlay_rates(p.replace(mu=opt.mu, eta=opt.eta, bandwidth_normalization=False))
+    assert opt.utility == report.utility
