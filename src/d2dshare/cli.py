@@ -11,12 +11,14 @@ optimize     eta* (overlay), beta* (underlay) or the joint (mu*, eta*)
 feasibility  outage-constraint bounds beta_max(mu) for both link classes
 sweep        full rate report per grid point of the configured sweep
 
-Configuration files are flat ``key = value`` text; omitted keys fall back to
-the built-in defaults, unknown keys are rejected with the offending line
-number.  Every run writes a CSV (or JSON) table plus a JSON manifest carrying
-the exact parameters, seed and a content hash, so outputs are byte-identical
-for identical inputs.  Exit codes: 0 success, 2 configuration error,
-3 numerical error, 4 validation failure.
+Configuration files are flat ``key = value`` text whose keys are the fields
+of NetworkParams and RunConfig (all but ``params``), each parsed by its
+annotated type; omitted keys fall back to the built-in defaults, unknown keys
+are rejected with the offending line number.  Every run writes a CSV (or
+JSON) table plus a JSON manifest carrying the exact parameters, seed and a
+content hash, so outputs are byte-identical for identical inputs.  Exit
+codes: 0 success, 2 configuration error, 3 numerical error, 4 validation
+failure.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,11 +58,6 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 _SWEEPABLE = ("mu", "eta", "beta", "q", "snr_m_db")
-
-_PARAM_FLOAT_KEYS = (
-    "lambda_b", "lambda_ue", "xi", "q", "alpha", "snr_m_db", "mu", "kappa",
-    "eta", "beta", "w_c", "w_d", "noise_psd_dbm_hz", "bandwidth_hz",
-)
 
 
 class ConfigError(ValueError):
@@ -114,6 +112,33 @@ def _parse_grid(raw: str) -> np.ndarray:
     return np.array([float(p) for p in raw.split(",") if p.strip() != ""])
 
 
+def _one_of(choices: tuple, message: str):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(message)
+        return raw
+    return parse
+
+
+def _key_parsers(cls: type, special: dict) -> dict:
+    """Config key -> parser for each field of ``cls``, chosen by its annotation."""
+    by_type = {float: float, int: int, bool: _parse_bool, Optional[str]: str}
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: special.get(f.name) or by_type[hints[f.name]]
+        for f in dataclasses.fields(cls)
+        if f.name != "params"
+    }
+
+
+_PARAM_KEYS = _key_parsers(NetworkParams, {})
+_RUN_KEYS = _key_parsers(RunConfig, {
+    "sweep_variable": _one_of(_SWEEPABLE, f"sweep variable must be one of {_SWEEPABLE}"),
+    "sweep_grid": _parse_grid,
+    "format": _one_of(("csv", "json"), "format must be csv or json"),
+})
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key-value document; unknown keys are rejected.
 
@@ -121,12 +146,6 @@ def parse_config(text: str) -> RunConfig:
     """
     params_kwargs: dict = {}
     run_kwargs: dict = {}
-    sweep_variable: Optional[str] = None
-    sweep_grid: Optional[np.ndarray] = None
-
-    int_keys = {"trials", "seed", "hex_rings", "threshold_points"}
-    run_float_keys = {"threshold_min_db", "threshold_max_db"}
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -135,34 +154,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
+        if key in _PARAM_KEYS:
+            kwargs, parse = params_kwargs, _PARAM_KEYS[key]
+        elif key in _RUN_KEYS:
+            kwargs, parse = run_kwargs, _RUN_KEYS[key]
+        else:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _PARAM_FLOAT_KEYS:
-                params_kwargs[key] = float(raw)
-            elif key == "b_subchannels":
-                params_kwargs[key] = int(raw)
-            elif key == "bandwidth_normalization":
-                params_kwargs[key] = _parse_bool(raw)
-            elif key in int_keys:
-                run_kwargs[key] = int(raw)
-            elif key in run_float_keys:
-                run_kwargs[key] = float(raw)
-            elif key == "sweep_variable":
-                if raw not in _SWEEPABLE:
-                    raise ValueError(f"sweep variable must be one of {_SWEEPABLE}")
-                sweep_variable = raw
-            elif key == "sweep_grid":
-                sweep_grid = _parse_grid(raw)
-            elif key == "output_path":
-                run_kwargs["output_path"] = raw
-            elif key == "format":
-                if raw not in ("csv", "json"):
-                    raise ValueError("format must be csv or json")
-                run_kwargs["format"] = raw
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            kwargs[key] = parse(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key}: {exc}") from exc
 
@@ -171,64 +170,47 @@ def parse_config(text: str) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
-    if (sweep_variable is None) != (sweep_grid is None):
+    cfg = RunConfig(params=params, **run_kwargs)
+    if (cfg.sweep_variable is None) != (cfg.sweep_grid is None):
         raise ConfigError("sweep_variable and sweep_grid must be given together")
-    if sweep_variable is not None:
-        for v in sweep_grid:
+    if cfg.sweep_variable is not None:
+        for v in cfg.sweep_grid:
             try:
-                params.replace(**{sweep_variable: float(v)})
+                params.replace(**{cfg.sweep_variable: float(v)})
             except ParameterError as exc:
                 raise ConfigError(
-                    f"sweep value {v!r} violates an invariant of {sweep_variable}: {exc}"
+                    f"sweep value {v!r} violates an invariant of {cfg.sweep_variable}: {exc}"
                 ) from exc
-
-    return RunConfig(
-        params=params, sweep_variable=sweep_variable, sweep_grid=sweep_grid, **run_kwargs
-    )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _check_finite(rows: list[dict]) -> None:
+def _write_table(header: list[str], rows: list[tuple], path: str, fmt: str) -> None:
+    """Write rows (tuples in header order); the header names the JSON keys."""
+    keys = [h.split(" [", 1)[0] for h in header]
     for row in rows:
-        for key, value in row.items():
+        for key, value in zip(keys, row):
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):
                 raise ConvergenceError(f"refusing to write non-finite value for {key!r}")
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_table(rows: list[dict], header: list[str], path: str, fmt: str) -> None:
-    _check_finite(rows)
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
+            json.dump([dict(zip(keys, row)) for row in rows], fh, indent=1, sort_keys=True)
             fh.write("\n")
         return
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        keys = [h.split(" [", 1)[0] for h in header]
         for row in rows:
-            writer.writerow([_format_cell(row[k]) for k in keys])
+            writer.writerow([
+                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row
+            ])
 
 
-def _write_manifest(path: str, payload: dict) -> None:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    payload = dict(payload)
-    payload["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _manifest_payload(command: str, cfg: RunConfig, extra: dict) -> dict:
+def _write_manifest(path: str, command: str, cfg: RunConfig, extra: dict) -> None:
+    """Write the run's parameters, seed and extras plus a hash of them to ``path``."""
     payload = {
         "command": command,
         "params": dataclasses.asdict(cfg.params),
@@ -243,33 +225,23 @@ def _manifest_payload(command: str, cfg: RunConfig, extra: dict) -> dict:
         ),
     }
     payload.update(extra)
-    return payload
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    payload["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: each returns (header, rows, manifest extras)
 # ---------------------------------------------------------------------------
 
-def _cmd_power(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    mus = (
-        cfg.sweep_grid
-        if cfg.sweep_variable == "mu" and cfg.sweep_grid is not None
-        else np.array([cfg.params.mu])
-    )
-    rows = []
-    for m in mus:
-        p = cfg.params.replace(mu=float(m))
-        report = actual_power_report(p)
-        rows.append({
-            "mu": float(m),
-            "avg_power_cellular": avg_power_cellular(p),
-            "avg_power_potential_d2d": avg_power_potential_d2d(p),
-            "avg_power_d2d_mode": avg_power_d2d_mode(p),
-            "avg_cellular_dbm": report.avg_cellular_dbm,
-            "avg_d2d_dbm": report.avg_d2d_dbm,
-            "peak_cellular_dbm": report.peak_cellular_dbm,
-            "peak_d2d_dbm": report.peak_d2d_dbm,
-        })
+def _mu_grid(cfg: RunConfig, default: np.ndarray) -> np.ndarray:
+    """The sweep grid when the config sweeps mu, else ``default``."""
+    return cfg.sweep_grid if cfg.sweep_variable == "mu" and cfg.sweep_grid is not None else default
+
+
+def _cmd_power(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
     header = [
         "mu [m]",
         "avg_power_cellular [virtual m^alpha]",
@@ -280,151 +252,98 @@ def _cmd_power(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
         "peak_cellular_dbm [dBm]",
         "peak_d2d_dbm [dBm]",
     ]
-    extra = {"optimal_mode_threshold_m": optimal_mode_threshold(cfg.params)}
-    return rows, header, extra
+    rows = []
+    for m in _mu_grid(cfg, np.array([cfg.params.mu])):
+        p = cfg.params.replace(mu=float(m))
+        report = actual_power_report(p)
+        rows.append((float(m), avg_power_cellular(p), avg_power_potential_d2d(p),
+                     avg_power_d2d_mode(p), *dataclasses.astuple(report)))
+    return header, rows, {"optimal_mode_threshold_m": optimal_mode_threshold(cfg.params)}
 
 
-def _ccdf_pair(cfg: RunConfig, mode: str):
+def _cmd_analyze(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
     t = cfg.thresholds()
-    if mode == "overlay":
-        return overlay.d2d_sinr_ccdf(cfg.params, t), overlay.cellular_sinr_ccdf(cfg.params, t)
-    return (
-        underlay.d2d_sinr_ccdf_underlay(cfg.params, t),
-        underlay.cellular_sinr_ccdf_underlay(cfg.params, t),
-    )
-
-
-def _cmd_analyze(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    d2d_curve, cell_curve = _ccdf_pair(cfg, args.mode)
+    if args.mode == "overlay":
+        d2d_curve = overlay.d2d_sinr_ccdf(cfg.params, t)
+        cell_curve = overlay.cellular_sinr_ccdf(cfg.params, t)
+        rates = overlay.overlay_rates(cfg.params)
+    else:
+        d2d_curve = underlay.d2d_sinr_ccdf_underlay(cfg.params, t)
+        cell_curve = underlay.cellular_sinr_ccdf_underlay(cfg.params, t)
+        rates = underlay.underlay_rates(cfg.params)
+    header = ["threshold [linear]", "threshold_db [dB]", "d2d_ccdf [prob]", "cellular_ccdf [prob]"]
     rows = [
-        {
-            "threshold": float(x),
-            "threshold_db": 10.0 * math.log10(x),
-            "d2d_ccdf": float(pd),
-            "cellular_ccdf": float(pc),
-        }
+        (float(x), 10.0 * math.log10(x), float(pd), float(pc))
         for x, pd, pc in zip(d2d_curve.thresholds, d2d_curve.values, cell_curve.values)
     ]
-    header = ["threshold [linear]", "threshold_db [dB]", "d2d_ccdf [prob]", "cellular_ccdf [prob]"]
-    rates = (
-        overlay.overlay_rates(cfg.params) if args.mode == "overlay"
-        else underlay.underlay_rates(cfg.params)
-    )
-    return rows, header, {"mode": args.mode, "rates": dataclasses.asdict(rates)}
+    return header, rows, {"mode": args.mode, "rates": dataclasses.asdict(rates)}
 
 
-def _analytic_reference(cfg: RunConfig, scenario: str, thresholds: np.ndarray):
-    if scenario == "uplink_hex":
-        return overlay.cellular_sinr_ccdf(cfg.params, thresholds)
-    if scenario == "d2d_overlay":
-        return overlay.d2d_sinr_ccdf(cfg.params, thresholds)
-    return underlay.d2d_sinr_ccdf_underlay(cfg.params, thresholds)
-
-
-def _run_simulation(cfg: RunConfig, scenario: str):
-    sim = SimConfig(
-        trials=cfg.trials,
-        seed=cfg.seed,
-        scenario=scenario,
-        hex_rings=cfg.hex_rings,
-        sinr_thresholds=cfg.thresholds(),
-    )
-    if scenario == "uplink_hex":
+def _cmd_simulate(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
+    """Monte Carlo CCDF against its analytical curve; ``validate`` adds the verdict."""
+    t = cfg.thresholds()
+    sim = SimConfig(trials=cfg.trials, seed=cfg.seed, scenario=args.mode,
+                    hex_rings=cfg.hex_rings, sinr_thresholds=t)
+    if args.mode == "uplink_hex":
         outcome = montecarlo.simulate_uplink_hex(cfg.params, sim)
+        reference = overlay.cellular_sinr_ccdf(cfg.params, t)
     else:
         outcome = montecarlo.simulate_d2d(cfg.params, sim)
-    reference = _analytic_reference(cfg, scenario, sim.thresholds())
-    return outcome, reference
-
-
-def _sim_rows(outcome, reference) -> tuple[list[dict], list[str]]:
-    rows = [
-        {
-            "threshold": float(x),
-            "empirical_ccdf": float(e),
-            "analytical_ccdf": float(a),
-            "abs_deviation": abs(float(e) - float(a)),
-        }
-        for x, e, a in zip(
-            outcome.empirical_ccdf.thresholds, outcome.empirical_ccdf.values, reference.values
-        )
-    ]
+        if args.mode == "d2d_overlay":
+            reference = overlay.d2d_sinr_ccdf(cfg.params, t)
+        else:
+            reference = underlay.d2d_sinr_ccdf_underlay(cfg.params, t)
     header = [
         "threshold [linear]",
         "empirical_ccdf [prob]",
         "analytical_ccdf [prob]",
         "abs_deviation [prob]",
     ]
-    return rows, header
-
-
-def _cmd_simulate(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    outcome, reference = _run_simulation(cfg, args.mode)
-    rows, header = _sim_rows(outcome, reference)
+    rows = [
+        (float(x), float(e), float(a), abs(float(e) - float(a)))
+        for x, e, a in zip(
+            outcome.empirical_ccdf.thresholds, outcome.empirical_ccdf.values, reference.values
+        )
+    ]
     extra = {
         "mode": args.mode,
         "samples_collected": outcome.samples_collected,
         "sim_metadata": outcome.metadata,
-        "max_abs_deviation": max(r["abs_deviation"] for r in rows),
+        "max_abs_deviation": max(row[3] for row in rows),
     }
-    return rows, header, extra
+    if args.command == "validate":
+        extra["tolerance"] = args.tolerance
+        extra["validation_passed"] = bool(extra["max_abs_deviation"] <= args.tolerance)
+    return header, rows, extra
 
 
-def _cmd_validate(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    rows, header, extra = _cmd_simulate(cfg, args)
-    extra["tolerance"] = args.tolerance
-    extra["validation_passed"] = bool(extra["max_abs_deviation"] <= args.tolerance)
-    return rows, header, extra
-
-
-def _cmd_optimize(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    rows = []
-    if args.mode == "overlay":
-        if args.joint:
-            grid = (
-                cfg.sweep_grid
-                if cfg.sweep_variable == "mu" and cfg.sweep_grid is not None
-                else np.arange(50.0, 1001.0, 50.0)
-            )
-            opt = overlay.joint_optimize_mu_eta(cfg.params, grid)
-            rows.append({"variable": "mu", "optimum": opt.mu, "utility": opt.utility})
-            rows.append({"variable": "eta", "optimum": opt.eta, "utility": opt.utility})
-        else:
-            # the raw-rate objective eta* maximises (see optimal_partition)
-            eta_star = overlay.optimal_partition(cfg.params)
-            report = overlay.overlay_rates(
-                cfg.params.replace(eta=eta_star, bandwidth_normalization=False)
-            )
-            rows.append({"variable": "eta", "optimum": eta_star, "utility": report.utility})
+def _cmd_optimize(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
+    if args.mode == "overlay" and args.joint:
+        grid = _mu_grid(cfg, np.arange(50.0, 1001.0, 50.0))
+        opt = overlay.joint_optimize_mu_eta(cfg.params, grid)
+        rows = [("mu", opt.mu, opt.utility), ("eta", opt.eta, opt.utility)]
+    elif args.mode == "overlay":
+        # the raw-rate objective eta* maximises (see optimal_partition)
+        eta_star = overlay.optimal_partition(cfg.params)
+        report = overlay.overlay_rates(
+            cfg.params.replace(eta=eta_star, bandwidth_normalization=False)
+        )
+        rows = [("eta", eta_star, report.utility)]
     else:
         beta_star = underlay.optimal_access_factor(cfg.params)
         report = underlay.underlay_rates(cfg.params.replace(beta=beta_star))
-        rows.append({"variable": "beta", "optimum": beta_star, "utility": report.utility})
+        rows = [("beta", beta_star, report.utility)]
     header = ["variable", "optimum [dimensionless or m]", "utility [weighted log rate]"]
-    return rows, header, {"mode": args.mode, "joint": bool(args.joint)}
+    return header, rows, {"mode": args.mode, "joint": bool(args.joint)}
 
 
-def _cmd_feasibility(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
-    grid = (
-        cfg.sweep_grid
-        if cfg.sweep_variable == "mu" and cfg.sweep_grid is not None
-        else np.linspace(50.0, 1000.0, 20)
-    )
+def _cmd_feasibility(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
     theta_d = 10.0 ** (args.theta_d_db / 10.0)
     theta_c = 10.0 ** (args.theta_c_db / 10.0)
     mus, bd, bc, ok = underlay.feasible_beta_curves(
-        cfg.params, grid, theta_d, args.eps_d, theta_c, args.eps_c
+        cfg.params, _mu_grid(cfg, np.linspace(50.0, 1000.0, 20)), theta_d, args.eps_d,
+        theta_c, args.eps_c,
     )
-    rows = [
-        {
-            "mu": float(m),
-            "beta_max_d2d": float(x),
-            "beta_max_cellular": float(y),
-            "beta_max_joint": float(min(x, y)),
-            "cellular_feasible": int(f),
-        }
-        for m, x, y, f in zip(mus, bd, bc, ok)
-    ]
     header = [
         "mu [m]",
         "beta_max_d2d [dimensionless]",
@@ -432,34 +351,18 @@ def _cmd_feasibility(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]
         "beta_max_joint [dimensionless]",
         "cellular_feasible [0/1]",
     ]
-    extra = {
-        "theta_d_db": args.theta_d_db,
-        "eps_d": args.eps_d,
-        "theta_c_db": args.theta_c_db,
-        "eps_c": args.eps_c,
-    }
-    return rows, header, extra
+    rows = [
+        (float(m), float(x), float(y), float(min(x, y)), int(f))
+        for m, x, y, f in zip(mus, bd, bc, ok)
+    ]
+    extra = {k: getattr(args, k) for k in ("theta_d_db", "eps_d", "theta_c_db", "eps_c")}
+    return header, rows, extra
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
+def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
     if cfg.sweep_variable is None or cfg.sweep_grid is None:
         raise ConfigError("sweep requires sweep_variable and sweep_grid in the config")
-    rows = []
-    for v in cfg.sweep_grid:
-        p = cfg.params.replace(**{cfg.sweep_variable: float(v)})
-        report = (
-            overlay.overlay_rates(p) if args.mode == "overlay" else underlay.underlay_rates(p)
-        )
-        rows.append({
-            "variable": cfg.sweep_variable,
-            "value": float(v),
-            "r_c": report.r_c,
-            "r_d": report.r_d,
-            "t_c": report.t_c,
-            "t_d": report.t_d,
-            "t_d_hat": report.t_d_hat,
-            "utility": report.utility,
-        })
+    rates = overlay.overlay_rates if args.mode == "overlay" else underlay.underlay_rates
     header = [
         "variable",
         "value [field units]",
@@ -470,7 +373,11 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[list[dict], list[str], dict]:
         "t_d_hat [nat/s/Hz]",
         "utility [weighted log rate]",
     ]
-    return rows, header, {"mode": args.mode}
+    rows = []
+    for v in cfg.sweep_grid:
+        report = rates(cfg.params.replace(**{cfg.sweep_variable: float(v)}))
+        rows.append((cfg.sweep_variable, float(v), *dataclasses.astuple(report)))
+    return header, rows, {"mode": args.mode}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +388,7 @@ _COMMANDS = {
     "power": _cmd_power,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
+    "validate": _cmd_simulate,
     "optimize": _cmd_optimize,
     "feasibility": _cmd_feasibility,
     "sweep": _cmd_sweep,
@@ -552,30 +459,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     """Execute a parsed command line; returns the process exit code."""
+    text = ""
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    else:
-        text = ""
     cfg = parse_config(text)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.output is not None:
-        cfg.output_path = args.output
+    for flag, key in (("seed", "seed"), ("trials", "trials"), ("output", "output_path")):
+        if getattr(args, flag) is not None:
+            setattr(cfg, key, getattr(args, flag))
 
-    rows, header, extra = _COMMANDS[args.command](cfg, args)
+    header, rows, extra = _COMMANDS[args.command](cfg, args)
 
-    suffix = "json" if cfg.format == "json" else "csv"
-    out_path = cfg.output_path or f"{args.command}.{suffix}"
-    _write_table(rows, header, out_path, cfg.format)
-    manifest = _manifest_payload(args.command, cfg, extra)
-    manifest["output"] = out_path
-    _write_manifest(out_path + ".manifest.json", manifest)
+    out_path = cfg.output_path or f"{args.command}.{cfg.format}"
+    _write_table(header, rows, out_path, cfg.format)
+    _write_manifest(out_path + ".manifest.json", args.command, cfg, {**extra, "output": out_path})
 
     if args.command == "validate" and not extra["validation_passed"]:
         print(

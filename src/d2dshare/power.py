@@ -17,11 +17,12 @@ powers to dBm for a chosen operating SNR, noise PSD and bandwidth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .model import NetworkParams, linear_to_db
-from .specfun import lower_incomplete_gamma
+from .specfun import DomainError, lower_incomplete_gamma
 
 __all__ = [
     "DegenerateModeError",
@@ -38,12 +39,31 @@ class DegenerateModeError(ValueError):
     """The D2D-mode conditioning event has probability zero (mu = 0)."""
 
 
+def _finite_moment(moment):
+    """Raise :class:`DomainError` where ``moment`` has no finite float value, as at
+    large alpha, where it reads inf, divides by zero or overflows."""
+
+    @functools.wraps(moment)
+    def checked(params: NetworkParams, *args, **kwargs) -> float:
+        try:
+            value = moment(params, *args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise DomainError(f"{moment.__name__} is not a finite float at alpha={params.alpha}")
+        return value
+
+    return checked
+
+
+@_finite_moment
 def avg_power_cellular(params: NetworkParams) -> float:
     """Mean virtual transmit power of a cellular-mode link."""
     a = params.alpha
     return 1.0 / ((1.0 + a / 2.0) * (math.pi * params.lambda_b) ** (a / 2.0))
 
 
+@_finite_moment
 def avg_power_potential_d2d(params: NetworkParams, mu: float | None = None) -> float:
     """Mean virtual transmit power of a UE with D2D traffic (either mode)."""
     m = params.mu if mu is None else mu
@@ -57,6 +77,7 @@ def avg_power_potential_d2d(params: NetworkParams, mu: float | None = None) -> f
     )
 
 
+@_finite_moment
 def avg_power_d2d_mode(params: NetworkParams, mu: float | None = None) -> float:
     """Mean virtual transmit power conditioned on D2D mode (D < mu).
 

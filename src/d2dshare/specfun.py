@@ -147,7 +147,7 @@ def _upper_gamma_cf(s: float, x: float) -> float:
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0.
 
-    Power series for x <= 1, continued fraction for x > 1.
+    Power series for x <= 1, the Gamma(0, x) continued fraction for x > 1.
     """
     if not (x > 0.0):
         raise DomainError(f"exp_integral_e1 requires x > 0, got x={x}")
@@ -162,27 +162,7 @@ def exp_integral_e1(x: float) -> float:
             if abs(contrib) < abs(total) * 1e-17 + 1e-300:
                 break
         return total
-    # modified Lentz on E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -float(i) * float(i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x)
-    raise ConvergenceError("E1 continued fraction did not converge")
+    return _upper_gamma_cf(0.0, x)  # E1(x) = Gamma(0, x)
 
 
 # ---------------------------------------------------------------------------

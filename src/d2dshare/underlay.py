@@ -180,15 +180,13 @@ def max_beta_for_d2d_outage(
     budget is always met as beta -> 0, and slack at beta = 1 returns 1.
     """
     _check_outage_args(theta_d, eps_d)
-    d = derive(params)
-    a = params.alpha
-    b = 2.0 / a
+    c = derive(params).c_mu
     budget = -math.log1p(-eps_d)
-    lin = params.n0 * params.b_subchannels * theta_d + theta_d**b * d.c_mu
-    sub = theta_d**b / (2.0 * sinc_normalized(b))
+    noise = params.n0 * params.b_subchannels * theta_d
+    scale = theta_d ** (2.0 / params.alpha)
 
     def lhs(beta: float) -> float:
-        return lin * beta + sub * beta**b
+        return noise * beta + scale * _link_coefficients(c, beta, params.alpha)[0]
 
     if lhs(1.0) <= budget:
         return OutageBound(beta_max=1.0, feasible=True)

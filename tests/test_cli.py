@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from d2dshare.cli import ConfigError, main, parse_config
+from d2dshare import cli
+from d2dshare.cli import ConfigError, RunConfig, main, parse_config
 from d2dshare.model import NetworkParams
 
 
@@ -51,6 +55,69 @@ def test_config_unknown_key_reports_line():
 def test_config_bad_value_reports_line():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("mu = fast")
+
+
+# one sample line per field: raw text and the value its annotated type parses it to
+_FIELD_SAMPLES = {
+    "lambda_b": ("2e-6", 2e-6),
+    "lambda_ue": ("3e-5", 3e-5),
+    "xi": ("4e-5", 4e-5),
+    "q": ("0.3", 0.3),
+    "alpha": ("4", 4.0),
+    "snr_m_db": ("5", 5.0),
+    "mu": ("150", 150.0),
+    "kappa": ("0.5", 0.5),
+    "eta": ("0.25", 0.25),
+    "beta": ("0.75", 0.75),
+    "b_subchannels": ("3", 3),
+    "w_c": ("0.5", 0.5),
+    "w_d": ("0.5", 0.5),
+    "noise_psd_dbm_hz": ("-170", -170.0),
+    "bandwidth_hz": ("2e6", 2e6),
+    "bandwidth_normalization": ("off", False),
+    "trials": ("123", 123),
+    "seed": ("7", 7),
+    "hex_rings": ("3", 3),
+    "threshold_min_db": ("-10", -10.0),
+    "threshold_max_db": ("30", 30.0),
+    "threshold_points": ("11", 11),
+    "sweep_variable": ("mu", "mu"),
+    "sweep_grid": ("100, 200", [100.0, 200.0]),
+    "output_path": ("out.json", "out.json"),
+    "format": ("json", "json"),
+}
+
+
+def _config_fields() -> set:
+    """Every field of NetworkParams and RunConfig except RunConfig.params."""
+    names = [f.name for f in dataclasses.fields(NetworkParams) + dataclasses.fields(RunConfig)]
+    return set(names) - {"params"}
+
+
+def test_every_dataclass_field_is_a_config_key_parsed_to_its_type():
+    assert set(_FIELD_SAMPLES) == _config_fields()
+    cfg = parse_config("\n".join(f"{k} = {raw}" for k, (raw, _) in _FIELD_SAMPLES.items()))
+    for key, (_, expected) in _FIELD_SAMPLES.items():
+        value = getattr(cfg.params if hasattr(cfg.params, key) else cfg, key)
+        if key == "sweep_grid":
+            assert value.tolist() == expected
+        else:
+            assert value == expected and type(value) is type(expected), key
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    params_text, _, plumbing_text = readme.partition("Parameter keys")[2].partition("Run plumbing:")
+    plumbing_text = plumbing_text.split("\n\n", 1)[0]
+    listed_params = re.findall(r"`(\w+)`", params_text)
+    listed_plumbing = re.findall(r"`(\w+)`", plumbing_text)
+    assert set(listed_params) == {f.name for f in dataclasses.fields(NetworkParams)}
+    assert set(listed_plumbing) == {f.name for f in dataclasses.fields(RunConfig)} - {"params"}
+    for key in listed_params + listed_plumbing:
+        try:
+            parse_config(f"{key} = {_FIELD_SAMPLES[key][0]}")
+        except ConfigError as exc:  # a lone sweep key or a w_c/w_d sum, never an unknown key
+            assert "unknown key" not in str(exc)
 
 
 def test_config_sweep_range_expansion():
@@ -212,3 +279,69 @@ def test_json_format_output(tmp_path):
     rows = json.loads(out.read_text())
     assert len(rows) == 60
     assert all(math.isfinite(r["d2d_ccdf"]) for r in rows)
+
+
+def test_non_finite_cell_writes_neither_table_nor_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "avg_power_cellular", lambda p: math.inf)
+    out = tmp_path / "power.csv"
+    assert main(["power", "--output", str(out)]) == 3
+    assert "non-finite value for 'avg_power_cellular'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_power_at_large_alpha_is_a_numerical_error(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("alpha = 120\n")
+    assert main(["power", str(cfgfile), "--output", str(tmp_path / "p.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: avg_power_cellular is not a finite float at alpha=120.0\n"
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_power_output_at_alpha_110_is_pinned(tmp_path, monkeypatch):
+    # the finite moments at large alpha are unchanged by their finiteness check
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text("alpha = 110\n")
+    assert main(["power", "cfg.txt"]) == 0
+    assert (tmp_path / "power.csv").read_bytes() == (
+        b"mu [m],avg_power_cellular [virtual m^alpha],avg_power_potential_d2d [virtual m^alpha],"
+        b"avg_power_d2d_mode [virtual m^alpha],avg_cellular_dbm [dBm],avg_d2d_dbm [dBm],"
+        b"peak_cellular_dbm [dBm],peak_d2d_dbm [dBm]\r\n"
+        b"200.0,1.3756642459908861e+295,2.7774182119530296e+294,9.652947846898938e+250,"
+        b"2847.385124499559,2405.8465995978327,2864.8670047696205,2427.1329952303795\r\n"
+    )
+    manifest = json.loads((tmp_path / "power.csv.manifest.json").read_text())
+    assert manifest["content_hash"] == (
+        "4adab67a5a120bb69f1ff23a0bc9610263ef9a0c8e13ad4d6395229ffc7b6e6f"
+    )
+
+
+def test_only_validate_records_a_verdict(tmp_path):
+    manifests = {}
+    for command in ("simulate", "validate"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--trials", "200", "--output", str(out)]) in (0, 4)
+        manifests[command] = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
+    assert "tolerance" not in manifests["simulate"]
+    assert "validation_passed" not in manifests["simulate"]
+    assert manifests["validate"]["tolerance"] == 0.05
+    assert isinstance(manifests["validate"]["validation_passed"], bool)
+    shared = {k: v for k, v in manifests["validate"].items()
+              if k not in ("tolerance", "validation_passed", "command", "output", "content_hash")}
+    assert shared == {k: v for k, v in manifests["simulate"].items()
+                      if k not in ("command", "output", "content_hash")}
+
+
+def test_sweep_json_matches_csv(tmp_path):
+    grid = "sweep_variable = q\nsweep_grid = 0.1, 0.4\n"
+    (tmp_path / "csv.txt").write_text(grid)
+    (tmp_path / "json.txt").write_text(grid + "format = json\n")
+    assert main(["sweep", str(tmp_path / "csv.txt"), "--output", str(tmp_path / "s.csv")]) == 0
+    assert main(["sweep", str(tmp_path / "json.txt"), "--output", str(tmp_path / "s.json")]) == 0
+    header, *rows = _read_csv(tmp_path / "s.csv")
+    keys = [h.split(" [", 1)[0] for h in header]
+    records = json.loads((tmp_path / "s.json").read_text())
+    assert [sorted(r) for r in records] == [sorted(keys)] * len(rows)
+    for row, record in zip(rows, records):
+        assert [str(record[k]) if isinstance(record[k], str) else repr(record[k]) for k in keys] == row

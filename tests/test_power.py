@@ -13,7 +13,7 @@ from d2dshare.power import (
     avg_power_potential_d2d,
     optimal_mode_threshold,
 )
-from d2dshare.specfun import golden_section_minimize
+from d2dshare.specfun import DomainError, golden_section_minimize
 
 
 def test_cellular_power_unit_cell():
@@ -125,3 +125,28 @@ def test_power_report_linear_in_snr(table1):
 def test_power_report_needs_positive_mu(table1):
     with pytest.raises(DegenerateModeError):
         actual_power_report(table1.replace(mu=0.0))
+
+
+@pytest.mark.parametrize("alpha", [118.0, 120.0, 200.0])
+def test_moments_without_a_finite_value_raise_domain_error(table1, alpha):
+    # At the default density (pi lambda_b)^(alpha/2) underflows: the cellular
+    # moment (and the potential-D2D one built on it) reads inf from alpha 115
+    # and divides by zero from alpha 120; (xi pi)^(-alpha/2) overflows in the
+    # D2D-mode moment by alpha 150.
+    p = table1.replace(alpha=alpha)
+    with pytest.raises(DomainError, match="avg_power_cellular is not a finite float"):
+        avg_power_cellular(p)
+    with pytest.raises(DomainError, match="not a finite float"):
+        avg_power_potential_d2d(p)
+    if alpha < 150.0:
+        assert math.isfinite(avg_power_d2d_mode(p))
+    else:
+        with pytest.raises(DomainError, match="avg_power_d2d_mode is not a finite float"):
+            avg_power_d2d_mode(p)
+
+
+def test_finite_moments_are_unchanged_at_large_alpha(table1):
+    p = table1.replace(alpha=110.0)
+    assert avg_power_cellular(p) == 1.3756642459908861e+295
+    assert avg_power_potential_d2d(p) == 2.7774182119530296e+294
+    assert avg_power_d2d_mode(p) == 9.652947846898938e+250
