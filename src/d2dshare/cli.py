@@ -409,21 +409,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="override trial count")
         p.add_argument("--output", default=None, help="override output path")
 
-    p = sub.add_parser("power", help="transmit-power statistics",
-                       description="CSV: mu, virtual power means, dBm report columns.")
+    p = sub.add_parser("power", help="transmit-power statistics")
     add_common(p)
 
     p = sub.add_parser("analyze", help="analytical CCDFs and rates",
-                       description="CSV: threshold, threshold_db, d2d_ccdf, cellular_ccdf; rates in manifest.")
+                       description="The table holds the CCDFs; the rates are in the manifest.")
     add_common(p)
     p.add_argument("--mode", choices=("overlay", "underlay"), default="overlay")
 
     for name in ("simulate", "validate"):
-        p = sub.add_parser(
-            name,
-            help="Monte Carlo vs analytical CCDF",
-            description="CSV: threshold, empirical_ccdf, analytical_ccdf, abs_deviation.",
-        )
+        p = sub.add_parser(name, help="Monte Carlo vs analytical CCDF")
         add_common(p)
         p.add_argument(
             "--mode",
@@ -434,23 +429,20 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tolerance", type=float, default=0.05,
                            help="max |empirical - analytical| allowed (exit 4 beyond)")
 
-    p = sub.add_parser("optimize", help="optimal spectrum-sharing parameters",
-                       description="CSV: variable, optimum, utility.")
+    p = sub.add_parser("optimize", help="optimal spectrum-sharing parameters")
     add_common(p)
     p.add_argument("--mode", choices=("overlay", "underlay"), default="overlay")
     p.add_argument("--joint", action="store_true",
                    help="overlay only: jointly optimise mu and eta over the mu sweep grid")
 
-    p = sub.add_parser("feasibility", help="outage-constraint beta_max(mu) curves",
-                       description="CSV: mu, beta_max_d2d, beta_max_cellular, beta_max_joint, cellular_feasible.")
+    p = sub.add_parser("feasibility", help="outage-constraint beta_max(mu) curves")
     add_common(p)
     p.add_argument("--theta-d-db", type=float, default=0.0, dest="theta_d_db")
     p.add_argument("--eps-d", type=float, default=0.1, dest="eps_d")
     p.add_argument("--theta-c-db", type=float, default=0.0, dest="theta_c_db")
     p.add_argument("--eps-c", type=float, default=0.5, dest="eps_c")
 
-    p = sub.add_parser("sweep", help="rate report per sweep grid point",
-                       description="CSV: variable, value, r_c, r_d, t_c, t_d, t_d_hat, utility.")
+    p = sub.add_parser("sweep", help="rate report per sweep grid point")
     add_common(p)
     p.add_argument("--mode", choices=("overlay", "underlay"), default="overlay")
 

@@ -156,14 +156,13 @@ def d2d_distance_cdf(xi: float, x: float) -> float:
     return -math.expm1(-xi * math.pi * x * x)
 
 
-def interference_constant(params: NetworkParams, mu: float | None = None) -> float:
+def interference_constant(params: NetworkParams) -> float:
     """D2D interference constant c(mu) without the scheduling-feasibility check.
 
     c = kappa q (lam/xi - (lam/xi + lam pi mu^2) e^(-xi pi mu^2)) / sinc(2/alpha);
     zero at mu = 0 and increasing to kappa q lam / (xi sinc(2/alpha)).
     """
-    m = params.mu if mu is None else mu
-    lam, xi = params.lambda_ue, params.xi
+    lam, xi, m = params.lambda_ue, params.xi, params.mu
     e = math.exp(-xi * math.pi * m * m)
     raw = lam / xi - (lam / xi + lam * math.pi * m * m) * e
     c = params.kappa * params.q * raw / sinc_normalized(2.0 / params.alpha)
@@ -171,17 +170,15 @@ def interference_constant(params: NetworkParams, mu: float | None = None) -> flo
     return max(c, 0.0)
 
 
-def cellular_density(params: NetworkParams, mu: float | None = None) -> float:
+def cellular_density(params: NetworkParams) -> float:
     """Density of cellular-mode transmitters (cellular UEs + far D2D pairs)."""
-    m = params.mu if mu is None else mu
-    e = math.exp(-params.xi * math.pi * m * m)
+    e = math.exp(-params.xi * math.pi * params.mu * params.mu)
     return (1.0 - params.q) * params.lambda_ue + params.q * params.lambda_ue * e
 
 
-def d2d_density(params: NetworkParams, mu: float | None = None) -> float:
+def d2d_density(params: NetworkParams) -> float:
     """Density of D2D-mode transmitters."""
-    m = params.mu if mu is None else mu
-    p = d2d_distance_cdf(params.xi, m) if m > 0.0 else 0.0
+    p = d2d_distance_cdf(params.xi, params.mu) if params.mu > 0.0 else 0.0
     return params.q * params.lambda_ue * p
 
 

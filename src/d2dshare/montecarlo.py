@@ -1,6 +1,6 @@
 """Snapshot Monte Carlo validation of the analytical SINR distributions.
 
-Three scenarios:
+Scenarios:
 
 * ``uplink_hex``   -- base stations on a pointy-top hexagonal grid with cell
   area 1/lambda_b; per cell a Poisson(lambda_c/lambda_b) population of
@@ -21,13 +21,14 @@ Three scenarios:
 Reproducibility: every trial draws from its own counter-based stream
 (Philox keyed by (seed, trial index)), so trials are order-independent,
 parallelisable, and the outcome is bit-identical for a fixed configuration.
-Interferer fields are truncated to a disk of 10x the expected
-nearest-interferer distance; the analytic bound on the mean interference
-dropped by that truncation is recorded in the outcome metadata.
+Interferer fields (``_field_power``) are truncated to a disk of 10x the expected
+nearest-interferer distance; ``_truncation_bias`` bounds the mean interference
+dropped there and beyond the simulated hex rings, recorded in the outcome metadata.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -113,6 +114,23 @@ def _empirical_ccdf(samples: np.ndarray, thresholds: np.ndarray) -> CcdfCurve:
     return CcdfCurve(thresholds=thresholds, values=values, kind="empirical")
 
 
+def _require_scenario(sim: SimConfig, *allowed: str) -> None:
+    if sim.scenario not in allowed:
+        names = " or ".join(repr(s) for s in allowed)
+        raise SimulationConfigError(f"scenario must be {names}, got {sim.scenario!r}")
+
+
+def _truncation_bias(
+    scale: float, density: float, moment, params: NetworkParams, radius: float
+) -> float:
+    """Mean interference a field of ``density`` transmitters beyond ``radius`` adds:
+    scale 2 pi density E[P] radius^(2-alpha) / (alpha-2), with E[P] = moment(params)."""
+    if density <= 0.0:
+        return 0.0
+    a = params.alpha
+    return scale * 2.0 * math.pi * density * moment(params) * radius ** (2.0 - a) / (a - 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Hexagonal-grid uplink
 # ---------------------------------------------------------------------------
@@ -170,64 +188,40 @@ def simulate_uplink_hex(
     region and picking one per cell).  ``unit_fading`` freezes all fading
     gains at 1 for pipeline diagnostics.
     """
-    if sim.scenario != "uplink_hex":
-        raise SimulationConfigError(f"scenario must be 'uplink_hex', got {sim.scenario!r}")
+    _require_scenario(sim, "uplink_hex")
     side = _hex_side(params.lambda_b)
     centers, rings = _hex_centers(sim.hex_rings, side)
     measured = np.where(rings <= sim.hex_rings - 2)[0]
-    alpha = params.alpha
-    n0 = params.n0
-    lam_c = cellular_density(params)
-    occupancy = -math.expm1(-lam_c / params.lambda_b)
+    alpha, n0 = params.alpha, params.n0
+    occupancy = -math.expm1(-cellular_density(params) / params.lambda_b)
 
-    thresholds = sim.thresholds()
-    all_samples = []
+    per_trial = []
     for t in range(sim.trials):
         gen = _trial_rng(sim.seed, t)
         occ = gen.random(centers.shape[0]) < occupancy
         idx = np.flatnonzero(occ)
-        if idx.size == 0:
-            continue
         local = _sample_in_hex(idx.size, side, gen)
-        pos = centers[idx] + local
-        lengths = np.hypot(local[:, 0], local[:, 1])
-        power = lengths**alpha
-        if unit_fading:
-            fades = np.ones((idx.size, measured.size))
-        else:
-            fades = gen.standard_exponential((idx.size, measured.size))
-        diff = pos[:, None, :] - centers[None, measured, :]
+        power = np.hypot(local[:, 0], local[:, 1]) ** alpha
+        shape = (idx.size, measured.size)
+        fades = np.ones(shape) if unit_fading else gen.standard_exponential(shape)
+        diff = (centers[idx] + local)[:, None, :] - centers[None, measured, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         contrib = power[:, None] * fades * dist ** (-alpha)
-        totals = contrib.sum(axis=0)
-        # measured cells that are occupied this trial yield one sample each
-        occupied_measured = np.flatnonzero(np.isin(measured, idx))
-        for col in occupied_measured:
-            row = int(np.searchsorted(idx, measured[col]))
-            signal = fades[row, col]  # power * dist^-alpha == 1 on the own link
-            interference = totals[col] - contrib[row, col]
-            all_samples.append(signal / (n0 + interference))
+        # one sample per occupied measured cell (column); the signal is the fade
+        # of its own transmitter (row), whose power * dist^-alpha == 1
+        cols = np.flatnonzero(occ[measured])
+        rows = np.searchsorted(idx, measured[cols])
+        interference = contrib.sum(axis=0)[cols] - contrib[rows, cols]
+        per_trial.append(fades[rows, cols] / (n0 + interference))
 
-    samples = np.asarray(all_samples, dtype=float)
-    curve = _empirical_ccdf(samples, thresholds)
+    samples = np.concatenate(per_trial)
 
     # nearest un-simulated interferer ring bounds the truncated far field
     outer_centers, _ = _hex_centers(sim.hex_rings + 1, side)
-    ring_next = outer_centers[centers.shape[0]:]
-    guards = np.min(
-        np.hypot(
-            centers[measured][:, None, 0] - ring_next[None, :, 0],
-            centers[measured][:, None, 1] - ring_next[None, :, 1],
-        ),
-        axis=1,
-    )
-    guard = float(np.min(guards))
-    far_bias = (
-        2.0 * math.pi * params.lambda_b * avg_power_cellular(params)
-        * guard ** (2.0 - alpha) / (alpha - 2.0)
-    )
+    gap = centers[measured][:, None, :] - outer_centers[None, centers.shape[0]:, :]
+    guard = float(np.min(np.hypot(gap[..., 0], gap[..., 1])))
     return SimOutcome(
-        empirical_ccdf=curve,
+        empirical_ccdf=_empirical_ccdf(samples, sim.thresholds()),
         samples_collected=int(samples.size),
         seed=sim.seed,
         metadata={
@@ -235,7 +229,9 @@ def simulate_uplink_hex(
             "cells_measured": int(measured.size),
             "occupancy_probability": occupancy,
             "min_guard_distance_m": guard,
-            "truncated_interference_mean_bound": far_bias,
+            "truncated_interference_mean_bound": _truncation_bias(
+                1.0, params.lambda_b, avg_power_cellular, params, guard
+            ),
         },
     )
 
@@ -251,6 +247,34 @@ def _truncated_rayleigh(gen: np.random.Generator, n: int, xi: float, mu: float) 
     return np.sqrt(-np.log1p(-u * cap) / (xi * math.pi))
 
 
+def _disk_lengths(gen: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    """Distances of n points uniform in the disk of ``radius`` from its centre."""
+    return radius * np.sqrt(gen.random(n))
+
+
+def _window(density: float) -> tuple[float, float]:
+    """Radius of the interferer disk and the mean number of interferers in it."""
+    if density <= 0.0:
+        return 0.0, 0.0
+    radius = _WINDOW_FACTOR / (2.0 * math.sqrt(density))
+    return radius, density * math.pi * radius**2
+
+
+def _field_power(gen, mean_n: float, radius: float, lengths, scale: float, alpha: float) -> float:
+    """Received power at the origin from a Poisson field in the disk of ``radius``,
+    each interferer sending scale * length^alpha; draws the count, the radii,
+    the link lengths (``lengths(gen, n)``) and the fades, in that order."""
+    if mean_n <= 0.0:
+        return 0.0
+    n = gen.poisson(mean_n)
+    if not n:
+        return 0.0
+    radii = _disk_lengths(gen, n, radius)
+    powers = lengths(gen, n) ** alpha
+    fades = gen.standard_exponential(n)
+    return scale * float((powers * fades * radii ** (-alpha)).sum())
+
+
 def simulate_d2d(params: NetworkParams, sim: SimConfig) -> SimOutcome:
     """Monte Carlo CCDF of the typical D2D link SINR.
 
@@ -263,76 +287,44 @@ def simulate_d2d(params: NetworkParams, sim: SimConfig) -> SimOutcome:
     The typical pair's own length cancels under channel inversion and is
     not drawn.
     """
-    if sim.scenario not in ("d2d_overlay", "d2d_underlay"):
-        raise SimulationConfigError(
-            f"scenario must be 'd2d_overlay' or 'd2d_underlay', got {sim.scenario!r}"
-        )
+    _require_scenario(sim, "d2d_overlay", "d2d_underlay")
     underlay = sim.scenario == "d2d_underlay"
     if params.mu <= 0.0:
         raise SimulationConfigError("the typical D2D link needs mu > 0")
     if underlay and not (0.0 < params.beta <= 1.0):
         raise SimulationConfigError("underlay simulation needs beta in (0, 1]")
 
-    alpha = params.alpha
-    n0 = params.n0
-    xi = params.xi
-    mu = params.mu
-    beta = params.beta
-    lam_d = d2d_density(params)
-    dens_d2d = params.kappa * lam_d * (beta if underlay else 1.0)
+    alpha, n0, beta = params.alpha, params.n0, params.beta
+    dens_d2d = params.kappa * d2d_density(params) * (beta if underlay else 1.0)
     dens_cell = params.lambda_b if underlay else 0.0
-
-    w_d2d = _WINDOW_FACTOR / (2.0 * math.sqrt(dens_d2d)) if dens_d2d > 0.0 else 0.0
-    w_cell = _WINDOW_FACTOR / (2.0 * math.sqrt(dens_cell)) if dens_cell > 0.0 else 0.0
-    mean_n_d2d = dens_d2d * math.pi * w_d2d**2
-    mean_n_cell = dens_cell * math.pi * w_cell**2
-    r_cell = math.sqrt(1.0 / (math.pi * params.lambda_b))
-
+    w_d2d, mean_n_d2d = _window(dens_d2d)
+    w_cell, mean_n_cell = _window(dens_cell)
+    cell_radius = math.sqrt(1.0 / (math.pi * params.lambda_b))
+    d2d_lengths = functools.partial(_truncated_rayleigh, xi=params.xi, mu=params.mu)
+    cell_lengths = functools.partial(_disk_lengths, radius=cell_radius)
     sinr = np.empty(sim.trials)
     for t in range(sim.trials):
         gen = _trial_rng(sim.seed, t)
         g0 = gen.standard_exponential()
-        interference = 0.0
-        if dens_d2d > 0.0:
-            n = gen.poisson(mean_n_d2d)
-            if n:
-                radii = w_d2d * np.sqrt(gen.random(n))
-                lengths = _truncated_rayleigh(gen, n, xi, mu)
-                fades = gen.standard_exponential(n)
-                interference += float(np.sum(lengths**alpha * fades * radii ** (-alpha)))
-        if underlay and dens_cell > 0.0:
-            m = gen.poisson(mean_n_cell)
-            if m:
-                radii = w_cell * np.sqrt(gen.random(m))
-                lengths = r_cell * np.sqrt(gen.random(m))
-                fades = gen.standard_exponential(m)
-                interference += beta * float(
-                    np.sum(lengths**alpha * fades * radii ** (-alpha))
-                )
+        interference = _field_power(gen, mean_n_d2d, w_d2d, d2d_lengths, 1.0, alpha)
+        interference += _field_power(gen, mean_n_cell, w_cell, cell_lengths, beta, alpha)
         sinr[t] = g0 / (n0 + interference)
 
-    curve = _empirical_ccdf(sinr, sim.thresholds())
     meta = {
         "window_radius_d2d_m": w_d2d,
         "mean_interferers_d2d": mean_n_d2d,
-        "truncation_bias_d2d": (
-            2.0 * math.pi * dens_d2d * avg_power_d2d_mode(params)
-            * w_d2d ** (2.0 - alpha) / (alpha - 2.0)
-            if dens_d2d > 0.0 else 0.0
-        ),
+        "truncation_bias_d2d": _truncation_bias(1.0, dens_d2d, avg_power_d2d_mode, params, w_d2d),
     }
     if underlay:
         meta.update(
             window_radius_cellular_m=w_cell,
             mean_interferers_cellular=mean_n_cell,
-            truncation_bias_cellular=(
-                beta * 2.0 * math.pi * dens_cell * avg_power_cellular(params)
-                * w_cell ** (2.0 - alpha) / (alpha - 2.0)
-                if dens_cell > 0.0 else 0.0
+            truncation_bias_cellular=_truncation_bias(
+                beta, dens_cell, avg_power_cellular, params, w_cell
             ),
         )
     return SimOutcome(
-        empirical_ccdf=curve,
+        empirical_ccdf=_empirical_ccdf(sinr, sim.thresholds()),
         samples_collected=sim.trials,
         seed=sim.seed,
         metadata=meta,
@@ -366,38 +358,31 @@ def sample_link_powers(params: NetworkParams, sim: SimConfig) -> PowerSample:
     of draws.  The conditional D2D-mode mean is NaN when no draw lands below
     mu.
     """
-    if sim.scenario != "link_length_sampling":
-        raise SimulationConfigError(
-            f"scenario must be 'link_length_sampling', got {sim.scenario!r}"
-        )
+    _require_scenario(sim, "link_length_sampling")
     gen = _trial_rng(sim.seed, 0)
     alpha = params.alpha
     r = math.sqrt(1.0 / (math.pi * params.lambda_b))
     xip = params.xi * math.pi
 
-    total = sim.trials
     sum_pc = 0.0
     sum_pd = 0.0
     sum_hat = 0.0
     n_hat = 0
-    done = 0
-    while done < total:
-        n = min(_SAMPLE_CHUNK, total - done)
-        lc = r * np.sqrt(gen.random(n))
+    for done in range(0, sim.trials, _SAMPLE_CHUNK):
+        n = min(_SAMPLE_CHUNK, sim.trials - done)
+        lc = _disk_lengths(gen, n, r)
         d = np.sqrt(gen.standard_exponential(n) / xip)
         pc = lc**alpha
         mask = d < params.mu
         pd = np.where(mask, d**alpha, pc)
         sum_pc += float(pc.sum())
         sum_pd += float(pd.sum())
-        if mask.any():
-            sum_hat += float((d[mask] ** alpha).sum())
-            n_hat += int(mask.sum())
-        done += n
+        sum_hat += float((d[mask] ** alpha).sum())
+        n_hat += int(mask.sum())
 
     return PowerSample(
-        mean_p_cellular=sum_pc / total,
-        mean_p_potential_d2d=sum_pd / total,
+        mean_p_cellular=sum_pc / sim.trials,
+        mean_p_potential_d2d=sum_pd / sim.trials,
         mean_p_d2d_mode=(sum_hat / n_hat) if n_hat else math.nan,
-        draws=total,
+        draws=sim.trials,
     )

@@ -31,15 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (
-    NetworkParams,
-    ParameterError,
-    cellular_density,
-    d2d_distance_cdf,
-    derive,
-    default_sinr_thresholds,
-    interference_constant,
-)
+from .model import NetworkParams, ParameterError, default_sinr_thresholds, derive
 from .specfun import (
     DomainError,
     exp_integral_e1,
@@ -407,18 +399,13 @@ def joint_optimize_mu_eta(params: NetworkParams, mu_grid: Sequence[float]) -> Jo
     ic = rate_evaluator(params.n0, params.alpha, outofcell=True)(0.0)
 
     def utility_at(mu: float) -> tuple[float, float]:
-        lam_c = cellular_density(params, mu)
-        if lam_c < params.lambda_b:
-            raise ParameterError(
-                f"mu={mu:g} drives lambda_c below lambda_b; utility undefined"
-            )
-        rc = scheduling_prefactor(lam_c / params.lambda_b) * ic
-        rd = params.kappa * d2d_rate(interference_constant(params, mu))
+        d = derive(params.replace(mu=mu))
+        rc = scheduling_prefactor(d.lambda_c / params.lambda_b) * ic
+        rd = params.kappa * d2d_rate(d.c_mu)
         eta = _partition_from_rates(rc, rd, params.w_c, params.w_d, params.xi * math.pi * mu * mu)
         if eta >= 1.0:  # cannot happen for finite rates; guard the log
             eta = 1.0 - 1e-12
-        p_d2d = d2d_distance_cdf(params.xi, mu)
-        return RateReport.mix(params, p_d2d, rc, 1.0 - eta, rd, eta).utility, eta
+        return RateReport.mix(params, d.p_d2d_mode, rc, 1.0 - eta, rd, eta).utility, eta
 
     values = [utility_at(float(m)) for m in grid]
     best = int(np.argmax([u for u, _ in values]))  # first index on ties: lowest mu

@@ -64,11 +64,9 @@ def avg_power_cellular(params: NetworkParams) -> float:
 
 
 @_finite_moment
-def avg_power_potential_d2d(params: NetworkParams, mu: float | None = None) -> float:
+def avg_power_potential_d2d(params: NetworkParams) -> float:
     """Mean virtual transmit power of a UE with D2D traffic (either mode)."""
-    m = params.mu if mu is None else mu
-    if m < 0.0:
-        raise DegenerateModeError(f"mu must be nonnegative, got {m}")
+    m = params.mu
     a = params.alpha
     xp = params.xi * math.pi
     e = math.exp(-xp * m * m)
@@ -78,13 +76,13 @@ def avg_power_potential_d2d(params: NetworkParams, mu: float | None = None) -> f
 
 
 @_finite_moment
-def avg_power_d2d_mode(params: NetworkParams, mu: float | None = None) -> float:
+def avg_power_d2d_mode(params: NetworkParams) -> float:
     """Mean virtual transmit power conditioned on D2D mode (D < mu).
 
     Raises :class:`DegenerateModeError` at mu = 0, where the conditioning
     event has probability zero and the expectation is undefined.
     """
-    m = params.mu if mu is None else mu
+    m = params.mu
     if m <= 0.0:
         raise DegenerateModeError(
             "avg_power_d2d_mode is undefined at mu <= 0: the D2D-mode event has probability 0"

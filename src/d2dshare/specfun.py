@@ -429,6 +429,7 @@ def integrate_semiinfinite(
 # ---------------------------------------------------------------------------
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_SEARCH_ITER = 200  # cap on golden-section and bisection steps
 
 
 def golden_section_minimize(
@@ -436,7 +437,6 @@ def golden_section_minimize(
     lo: float,
     hi: float,
     tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> float:
     """Golden-section minimiser for a unimodal function on [lo, hi].
 
@@ -448,7 +448,7 @@ def golden_section_minimize(
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(_MAX_SEARCH_ITER):
         if b - a <= tol:
             break
         if f1 <= f2:
@@ -468,7 +468,6 @@ def bisect_nondecreasing(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Solve g(x) = target for nondecreasing g on [lo, hi] by bisection.
 
@@ -476,7 +475,7 @@ def bisect_nondecreasing(
     bracket.
     """
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_SEARCH_ITER):
         if b - a <= tol:
             break
         mid = 0.5 * (a + b)

@@ -96,7 +96,7 @@ def test_criterion_02_optimal_threshold(table1):
     closed = optimal_mode_threshold(table1)
     assert closed == pytest.approx(374.5, abs=0.1)
     numeric = golden_section_minimize(
-        lambda m: avg_power_potential_d2d(table1, m), 1e-6, 2000.0, tol=1e-4
+        lambda m: avg_power_potential_d2d(table1.replace(mu=m)), 1e-6, 2000.0, tol=1e-4
     )
     assert abs(closed - numeric) < 0.1
     base_xi = 1.0 / (math.pi * 500.0**2)

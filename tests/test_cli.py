@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -315,6 +316,28 @@ def test_power_output_at_alpha_110_is_pinned(tmp_path, monkeypatch):
     assert manifest["content_hash"] == (
         "4adab67a5a120bb69f1ff23a0bc9610263ef9a0c8e13ad4d6395229ffc7b6e6f"
     )
+
+
+_VALIDATE_PINS = {  # mode: (sha256 of the CSV, manifest content_hash)
+    "uplink_hex": ("470303245b86b12b71ea40f7ee547063062e2936622b352ac2a8b9998e389c27",
+                   "3bcf743136c41af4daadcb1419d6a5559bc52d57e8a6358cde2da7d153f4a1ec"),
+    "d2d_overlay": ("b8b1022d8f6d34de5cd69b9ffe97df149fc9d474ca38a7a28375d160181b75e0",
+                    "1a2572b5f77cbb6306bdfeb9a90365b16415aeb0be790a4813ccf8955cbbe769"),
+    "d2d_underlay": ("cd5a131b45f45bb6cbd19941faddeab0904ed7ae2d1d4d70addc670a83bd2388",
+                     "f8d69072ce85a641e89eb6deed9424802dc98c2726b5dc80285ef01df37818ec"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_VALIDATE_PINS))
+def test_validate_output_is_pinned(tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    out = f"{mode}.csv"
+    assert main(["validate", "--mode", mode, "--trials", "2000", "--seed", "20231",
+                 "--output", out]) == 0
+    csv_sha256, content_hash = _VALIDATE_PINS[mode]
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == csv_sha256
+    manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+    assert manifest["content_hash"] == content_hash
 
 
 def test_only_validate_records_a_verdict(tmp_path):

@@ -70,21 +70,21 @@ def test_densities_partition_total(table1):
 
 def test_derive_monotonicity_in_mu(table1):
     mus = np.linspace(0.0, 2000.0, 100)
-    lam_c = [cellular_density(table1, m) for m in mus]
-    lam_d = [d2d_density(table1, m) for m in mus]
-    c = [interference_constant(table1, m) for m in mus]
+    lam_c = [cellular_density(table1.replace(mu=m)) for m in mus]
+    lam_d = [d2d_density(table1.replace(mu=m)) for m in mus]
+    c = [interference_constant(table1.replace(mu=m)) for m in mus]
     assert all(a >= b - 1e-18 for a, b in zip(lam_c, lam_c[1:]))
     assert all(b >= a - 1e-18 for a, b in zip(lam_d, lam_d[1:]))
     assert all(b >= a - 1e-15 for a, b in zip(c, c[1:]))
 
 
 def test_interference_constant_limits(table1):
-    assert interference_constant(table1, 0.0) == 0.0
+    assert interference_constant(table1.replace(mu=0.0)) == 0.0
     c_inf = (
         table1.kappa * table1.q * table1.lambda_ue
         / (table1.xi * sinc_normalized(2.0 / table1.alpha))
     )
-    assert interference_constant(table1, 1e5) == pytest.approx(c_inf, rel=1e-12)
+    assert interference_constant(table1.replace(mu=1e5)) == pytest.approx(c_inf, rel=1e-12)
 
 
 def test_p_d2d_equals_distance_cdf(table1):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -56,6 +57,36 @@ def test_d2d_tracks_analytics(table1):
     out = simulate_d2d(table1, cfg)
     ana = d2d_sinr_ccdf(table1, out.empirical_ccdf.thresholds)
     assert np.max(np.abs(out.empirical_ccdf.values - ana.values)) < 0.03
+
+
+# beta: (sha256 of the little-endian CCDF values, D2D window radius,
+#        truncation bias of the D2D tier, of the cellular tier)
+_UNDERLAY_PINS = {
+    0.3: ("c4f0551fa5aeb446b31b09392fa3584aedda73d028f9f70cfca27d6a9105b596",
+          7653.510758702348, 0.000468859015195817, 0.01940523694670242),
+    0.5: ("41d4eda8d6b1f6d68bb0fb516e66dc1cfec75167b9a42adfa1393f4c24ef143c",
+          5928.383941694697, 0.0010349225094849958, 0.03234206157783737),
+    0.77: ("c2122bdb2b94ac81bba8784b5191815a3b9ba415f82d097647b7bf5273d52227",
+           4777.227919776888, 0.0020209936558680877, 0.04980677482986955),
+}
+
+
+@pytest.mark.parametrize("beta", sorted(_UNDERLAY_PINS))
+def test_underlay_outcome_is_pinned(beta):
+    # the power scale leads the truncation bound, so beta moves no last bit
+    ccdf_sha256, window_d2d, bias_d2d, bias_cell = _UNDERLAY_PINS[beta]
+    p = NetworkParams(kappa=0.7, alpha=3.1, beta=beta)
+    out = simulate_d2d(p, SimConfig(trials=2000, seed=20231, scenario="d2d_underlay"))
+    values = out.empirical_ccdf.values.astype("<f8").tobytes()
+    assert hashlib.sha256(values).hexdigest() == ccdf_sha256
+    assert out.metadata == {
+        "window_radius_d2d_m": window_d2d,
+        "mean_interferers_d2d": 78.53981633974482,
+        "truncation_bias_d2d": bias_d2d,
+        "window_radius_cellular_m": 4431.134627263789,
+        "mean_interferers_cellular": 78.5398163397448,
+        "truncation_bias_cellular": bias_cell,
+    }
 
 
 def test_d2d_underlay_tracks_analytics(table1):
@@ -151,6 +182,13 @@ def test_hex_sparse_cells_rarely_sample(table1):
     cfg = SimConfig(trials=3000, seed=2, scenario="uplink_hex", hex_rings=2)
     out = simulate_uplink_hex(p, cfg)
     assert 0 < out.samples_collected < cfg.trials / 100
+
+
+def test_hex_run_without_samples_is_a_config_error(table1):
+    p = table1.replace(lambda_ue=1e-9 * table1.lambda_b)
+    cfg = SimConfig(trials=200, seed=20231, scenario="uplink_hex", hex_rings=2)
+    with pytest.raises(SimulationConfigError, match="no SINR samples"):
+        simulate_uplink_hex(p, cfg)
 
 
 def test_hex_unit_fading_noise_only_pipeline(table1):

@@ -234,7 +234,7 @@ def test_scheduling_prefactor_monotone_in_mu(table1):
     mus = np.linspace(0.0, 1000.0, 40)
     from d2dshare.model import cellular_density
 
-    vals = [scheduling_prefactor(cellular_density(table1, m) / table1.lambda_b) for m in mus]
+    vals = [scheduling_prefactor(cellular_density(table1.replace(mu=m)) / table1.lambda_b) for m in mus]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 

@@ -45,7 +45,7 @@ def test_potential_d2d_power_large_mu_limit(table1):
 
 def test_d2d_mode_power_degenerate_at_zero(table1):
     with pytest.raises(DegenerateModeError):
-        avg_power_d2d_mode(table1, mu=0.0)
+        avg_power_d2d_mode(table1.replace(mu=0.0))
 
 
 def test_powers_match_sampling_oracle(table1):
@@ -60,7 +60,7 @@ def test_powers_match_sampling_oracle(table1):
 def test_d2d_mode_power_increasing_in_mu(table1):
     # grid capped where xi pi mu^2 < 30 so doubles still resolve the increase
     mus = np.linspace(10.0, 800.0, 60)
-    vals = [avg_power_d2d_mode(table1, m) for m in mus]
+    vals = [avg_power_d2d_mode(table1.replace(mu=m)) for m in mus]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -69,7 +69,7 @@ def test_potential_d2d_power_unimodal(table1):
     star = optimal_mode_threshold(table1)
     below = np.linspace(10.0, star * 0.98, 30)
     above = np.linspace(star * 1.02, 800.0, 30)
-    f = lambda m: avg_power_potential_d2d(table1, m)
+    f = lambda m: avg_power_potential_d2d(table1.replace(mu=m))
     assert all(f(b) < f(a) for a, b in zip(below, below[1:]))
     assert all(f(b) > f(a) for a, b in zip(above, above[1:]))
 
@@ -77,7 +77,7 @@ def test_potential_d2d_power_unimodal(table1):
 def test_optimal_threshold_value(table1):
     assert optimal_mode_threshold(table1) == pytest.approx(374.4953051314428, abs=1e-6)
     oracle = golden_section_minimize(
-        lambda m: avg_power_potential_d2d(table1, m), 1e-3, 2000.0, tol=1e-4
+        lambda m: avg_power_potential_d2d(table1.replace(mu=m)), 1e-3, 2000.0, tol=1e-4
     )
     assert abs(optimal_mode_threshold(table1) - oracle) < 0.1
 
