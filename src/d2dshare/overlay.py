@@ -399,7 +399,10 @@ def joint_optimize_mu_eta(params: NetworkParams, mu_grid: Sequence[float]) -> Jo
     ic = rate_evaluator(params.n0, params.alpha, outofcell=True)(0.0)
 
     def utility_at(mu: float) -> tuple[float, float]:
-        d = derive(params.replace(mu=mu))
+        try:
+            d = derive(params.replace(mu=mu))
+        except ParameterError as exc:
+            raise ParameterError(f"mu={mu:g}: {exc}") from exc
         rc = scheduling_prefactor(d.lambda_c / params.lambda_b) * ic
         rd = params.kappa * d2d_rate(d.c_mu)
         eta = _partition_from_rates(rc, rd, params.w_c, params.w_d, params.xi * math.pi * mu * mu)

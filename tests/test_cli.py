@@ -272,6 +272,18 @@ def test_bad_config_file_exit_code(tmp_path):
     assert main(["power", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_joint_optimize_names_the_mu_that_breaks_lambda_c(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("q = 0.95\nsweep_variable = mu\nsweep_grid = 100, 2000\n")
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--joint", str(cfgfile), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: mu=2000: invariant lambda_c >= lambda_b violated: "
+        "lambda_c=6.3662e-07 < lambda_b=1.27324e-06\n"
+    )
+    assert not out.exists()
+
+
 def test_json_format_output(tmp_path):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("format = json\n")
@@ -319,8 +331,8 @@ def test_power_output_at_alpha_110_is_pinned(tmp_path, monkeypatch):
 
 
 _VALIDATE_PINS = {  # mode: (sha256 of the CSV, manifest content_hash)
-    "uplink_hex": ("470303245b86b12b71ea40f7ee547063062e2936622b352ac2a8b9998e389c27",
-                   "3bcf743136c41af4daadcb1419d6a5559bc52d57e8a6358cde2da7d153f4a1ec"),
+    "uplink_hex": ("ea93d39c6409b2493de0c2c6ef03d56316602633feed0513d272890fd5fe3f65",
+                   "5a3502e06fc20e5bec2f0483125eb924209fbef0ae94c35616828a03e67cb96b"),
     "d2d_overlay": ("b8b1022d8f6d34de5cd69b9ffe97df149fc9d474ca38a7a28375d160181b75e0",
                     "1a2572b5f77cbb6306bdfeb9a90365b16415aeb0be790a4813ccf8955cbbe769"),
     "d2d_underlay": ("cd5a131b45f45bb6cbd19941faddeab0904ed7ae2d1d4d70addc670a83bd2388",
@@ -338,6 +350,20 @@ def test_validate_output_is_pinned(tmp_path, monkeypatch, mode):
     assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == csv_sha256
     manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
     assert manifest["content_hash"] == content_hash
+
+
+def test_uplink_hex_empirical_ccdf_is_pinned(tmp_path, monkeypatch):
+    # the simulator's column alone, so a change to the analytical reference
+    # cannot hide a change to the Monte Carlo bytes behind a re-pinned CSV
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--mode", "uplink_hex", "--trials", "2000", "--seed", "20231",
+                 "--output", "hex.csv"]) == 0
+    header, *rows = _read_csv(tmp_path / "hex.csv")
+    col = header.index("empirical_ccdf [prob]")
+    column = "\n".join(row[col] for row in rows).encode()
+    assert hashlib.sha256(column).hexdigest() == (
+        "2ef54a53e3bf33d221680b26ccebf38b3211ca01fb556f0bf3d0a5690dbde519"
+    )
 
 
 def test_only_validate_records_a_verdict(tmp_path):

@@ -25,6 +25,7 @@ from d2dshare.specfun import (
     lower_incomplete_gamma,
     rate_rule,
     sinc_normalized,
+    _jacobi_rule,
 )
 
 
@@ -189,6 +190,33 @@ def test_hyp_against_scipy_grid():
         ref = sps.hyp2f1(1.0, b, 1.0 + b, -z)
         mine = hyp2f1_kernel(b, z)
         assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.5, 6.0, 20.0])
+def test_jacobi_rule_integrates_moments_exactly(alpha):
+    # int_0^1 t^(b-1) t^k dt = 1/(b+k); 16 nodes are exact up to degree 31
+    k = np.arange(32)
+    for b in (2.0 / alpha, 1.0 - 2.0 / alpha):
+        t, w = _jacobi_rule(b)
+        moments = np.sum(w * t ** k[:, None], axis=1)
+        assert np.max(np.abs(moments * (b + k) - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.1, 2.5, 3.0, 3.5, 4.5, 6.0, 10.0, 20.0, 50.0])
+def test_hyp_middle_branch_against_scipy(alpha):
+    # the rule's branch densely, plus the last and first points of each neighbour
+    edges = [0.35, np.nextafter(0.35, 0.0), np.nextafter(2.5, 0.0), 2.5]
+    z = np.concatenate([np.linspace(0.35, 2.5, 2000, endpoint=False), edges])
+    for b in (2.0 / alpha, 1.0 - 2.0 / alpha):
+        ref = sps.hyp2f1(1.0, b, 1.0 + b, -z)
+        assert np.max(np.abs(hyp2f1_kernel(b, z) / ref - 1.0)) < 1e-13
+
+
+def test_jacobi_rule_cache_is_bounded():
+    for b in np.linspace(0.01, 0.99, 1000):
+        hyp2f1_kernel(float(b), 1.0)
+    info = _jacobi_rule.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @given(b=st.floats(0.05, 0.95))
