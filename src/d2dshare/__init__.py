@@ -10,7 +10,6 @@ from .model import (
     DerivedQuantities,
     NetworkParams,
     ParameterError,
-    TABLE_DEFAULTS,
     d2d_distance_cdf,
     default_sinr_thresholds,
     derive,

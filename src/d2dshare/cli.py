@@ -58,6 +58,7 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 _SWEEPABLE = ("mu", "eta", "beta", "q", "snr_m_db")
+_MAX_GRID_POINTS = 10**6
 
 
 class ConfigError(ValueError):
@@ -105,9 +106,14 @@ def _parse_grid(raw: str) -> np.ndarray:
         if len(pieces) != 3:
             raise ValueError("range grids use start:stop:step")
         start, stop, step = (float(p) for p in pieces)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError("range grids need finite start, stop and step")
         if step <= 0 or stop < start:
             raise ValueError("range grids need step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_GRID_POINTS:
+            raise ValueError(f"range grids hold at most {_MAX_GRID_POINTS} points")
+        n = int(math.floor(span)) + 1
         return start + step * np.arange(n)
     return np.array([float(p) for p in raw.split(",") if p.strip() != ""])
 
@@ -194,7 +200,7 @@ def _write_table(header: list[str], rows: list[tuple], path: str, fmt: str) -> N
     for row in rows:
         for key, value in zip(keys, row):
             if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-                raise ConvergenceError(f"refusing to write non-finite value for {key!r}")
+                raise DomainError(f"refusing to write non-finite value for {key!r}")
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump([dict(zip(keys, row)) for row in rows], fh, indent=1, sort_keys=True)

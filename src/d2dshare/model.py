@@ -23,7 +23,6 @@ __all__ = [
     "ParameterError",
     "NetworkParams",
     "DerivedQuantities",
-    "TABLE_DEFAULTS",
     "derive",
     "d2d_distance_cdf",
     "default_sinr_thresholds",
@@ -122,29 +121,27 @@ class NetworkParams:
         """Equivalent noise power N0 = 1/SNR_m in received-power units."""
         return 10.0 ** (-self.snr_m_db / 10.0)
 
-
-#: Field values used whenever a configuration omits a key.
-TABLE_DEFAULTS = NetworkParams()
+    @property
+    def cell_radius(self) -> float:
+        """Equal-area disk radius R = sqrt(1/(pi lambda_b)) of a cell [m]."""
+        return math.sqrt(1.0 / (math.pi * self.lambda_b))
 
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Quantities every analytic expression shares, computed by :func:`derive`.
+    """The per-mu quantities that need :func:`derive`'s lambda_c >= lambda_b check.
 
     ``lambda_c``    density of cellular-mode transmitters [m^-2]
-    ``lambda_d``    density of D2D-mode transmitters [m^-2]
-    ``cell_radius`` equal-area disk radius R = sqrt(1/(pi lambda_b)) [m]
     ``p_d2d_mode``  P(D < mu), the D2D mode-selection probability
     ``c_mu``        D2D interference constant in the SINR CCDF exponent
-    ``n0_equiv``    equivalent noise power N0 = 1/SNR_m (linear)
+
+    N0 and the cell radius are :class:`NetworkParams` properties, and the
+    D2D-mode density is :func:`d2d_density`.
     """
 
     lambda_c: float
-    lambda_d: float
-    cell_radius: float
     p_d2d_mode: float
     c_mu: float
-    n0_equiv: float
 
 
 def d2d_distance_cdf(xi: float, x: float) -> float:
@@ -178,8 +175,7 @@ def cellular_density(params: NetworkParams) -> float:
 
 def d2d_density(params: NetworkParams) -> float:
     """Density of D2D-mode transmitters."""
-    p = d2d_distance_cdf(params.xi, params.mu) if params.mu > 0.0 else 0.0
-    return params.q * params.lambda_ue * p
+    return params.q * params.lambda_ue * d2d_distance_cdf(params.xi, params.mu)
 
 
 def derive(params: NetworkParams) -> DerivedQuantities:
@@ -190,7 +186,6 @@ def derive(params: NetworkParams) -> DerivedQuantities:
     assumes away.
     """
     lam_c = cellular_density(params)
-    lam_d = d2d_density(params)
     if lam_c < params.lambda_b:
         raise ParameterError(
             "invariant lambda_c >= lambda_b violated: "
@@ -198,11 +193,8 @@ def derive(params: NetworkParams) -> DerivedQuantities:
         )
     return DerivedQuantities(
         lambda_c=lam_c,
-        lambda_d=lam_d,
-        cell_radius=math.sqrt(1.0 / (math.pi * params.lambda_b)),
         p_d2d_mode=d2d_distance_cdf(params.xi, params.mu),
         c_mu=interference_constant(params),
-        n0_equiv=params.n0,
     )
 
 

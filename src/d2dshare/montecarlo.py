@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NetworkParams, cellular_density, d2d_density, default_sinr_thresholds
+from .model import NetworkParams, cellular_density, d2d_density, d2d_distance_cdf, default_sinr_thresholds
 from .overlay import CcdfCurve
 from .power import avg_power_cellular, avg_power_d2d_mode
 
@@ -242,7 +242,7 @@ def simulate_uplink_hex(
 
 def _truncated_rayleigh(gen: np.random.Generator, n: int, xi: float, mu: float) -> np.ndarray:
     """Inverse-CDF draws of the pair distance conditioned below mu."""
-    cap = -math.expm1(-xi * math.pi * mu * mu)
+    cap = d2d_distance_cdf(xi, mu)
     u = gen.random(n)
     return np.sqrt(-np.log1p(-u * cap) / (xi * math.pi))
 
@@ -299,9 +299,8 @@ def simulate_d2d(params: NetworkParams, sim: SimConfig) -> SimOutcome:
     dens_cell = params.lambda_b if underlay else 0.0
     w_d2d, mean_n_d2d = _window(dens_d2d)
     w_cell, mean_n_cell = _window(dens_cell)
-    cell_radius = math.sqrt(1.0 / (math.pi * params.lambda_b))
     d2d_lengths = functools.partial(_truncated_rayleigh, xi=params.xi, mu=params.mu)
-    cell_lengths = functools.partial(_disk_lengths, radius=cell_radius)
+    cell_lengths = functools.partial(_disk_lengths, radius=params.cell_radius)
     sinr = np.empty(sim.trials)
     for t in range(sim.trials):
         gen = _trial_rng(sim.seed, t)
@@ -361,7 +360,7 @@ def sample_link_powers(params: NetworkParams, sim: SimConfig) -> PowerSample:
     _require_scenario(sim, "link_length_sampling")
     gen = _trial_rng(sim.seed, 0)
     alpha = params.alpha
-    r = math.sqrt(1.0 / (math.pi * params.lambda_b))
+    r = params.cell_radius
     xip = params.xi * math.pi
 
     sum_pc = 0.0

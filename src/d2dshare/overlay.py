@@ -276,7 +276,7 @@ def d2d_spectral_efficiency(params: NetworkParams, n0: float | None = None) -> f
     if params.kappa == 0.0:
         return 0.0
     d = derive(params)
-    noise = d.n0_equiv if n0 is None else n0
+    noise = params.n0 if n0 is None else n0
     return params.kappa * rate_evaluator(noise, params.alpha)(d.c_mu)
 
 
@@ -317,7 +317,7 @@ def cellular_spectral_efficiency(params: NetworkParams, n0: float | None = None)
     Laplace factor.  Requires lambda_c >= lambda_b (checked via derive).
     """
     d = derive(params)
-    noise = d.n0_equiv if n0 is None else n0
+    noise = params.n0 if n0 is None else n0
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
     return pref * rate_evaluator(noise, params.alpha, outofcell=True)(0.0)
 
@@ -341,9 +341,9 @@ def overlay_rates(params: NetworkParams) -> RateReport:
     eta = params.eta
     if eta >= 1.0:
         raise DegenerateRateError("eta = 1 leaves no cellular spectrum: T_c = 0")
-    norm = params.bandwidth_normalization
-    n0_c = d.n0_equiv * (1.0 - eta) if norm else d.n0_equiv
-    n0_d = d.n0_equiv * eta if (norm and eta > 0.0) else d.n0_equiv
+    norm, n0 = params.bandwidth_normalization, params.n0
+    n0_c = n0 * (1.0 - eta) if norm else n0
+    n0_d = n0 * eta if (norm and eta > 0.0) else n0
     rc = cellular_spectral_efficiency(params, n0=n0_c)
     rd = d2d_spectral_efficiency(params, n0=n0_d)
     return RateReport.mix(params, d.p_d2d_mode, rc, 1.0 - eta, rd, eta)

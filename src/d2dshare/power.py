@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .model import NetworkParams, linear_to_db
+from .model import NetworkParams, d2d_distance_cdf, linear_to_db
 from .specfun import DomainError, lower_incomplete_gamma
 
 __all__ = [
@@ -89,7 +89,7 @@ def avg_power_d2d_mode(params: NetworkParams) -> float:
         )
     a = params.alpha
     xp = params.xi * math.pi
-    denom = -math.expm1(-xp * m * m)
+    denom = d2d_distance_cdf(params.xi, m)
     return xp ** (-a / 2.0) * lower_incomplete_gamma(a / 2.0 + 1.0, xp * m * m) / denom
 
 
@@ -100,7 +100,7 @@ def optimal_mode_threshold(params: NetworkParams) -> float:
     invariant to the pair-distance parameter xi.
     """
     a = params.alpha
-    return (1.0 / (1.0 + a / 2.0)) ** (1.0 / a) * math.sqrt(1.0 / (math.pi * params.lambda_b))
+    return (1.0 / (1.0 + a / 2.0)) ** (1.0 / a) * params.cell_radius
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,10 @@ def actual_power_report(params: NetworkParams) -> PowerReport:
     if params.mu <= 0.0:
         raise DegenerateModeError("actual_power_report requires mu > 0 for the D2D columns")
     scale_dbm = params.noise_psd_dbm_hz + linear_to_db(params.bandwidth_hz) + params.snr_m_db
-    r = math.sqrt(1.0 / (math.pi * params.lambda_b))
     a = params.alpha
     return PowerReport(
         avg_cellular_dbm=scale_dbm + linear_to_db(avg_power_cellular(params)),
         avg_d2d_dbm=scale_dbm + linear_to_db(avg_power_d2d_mode(params)),
-        peak_cellular_dbm=scale_dbm + a * linear_to_db(r),
+        peak_cellular_dbm=scale_dbm + a * linear_to_db(params.cell_radius),
         peak_d2d_dbm=scale_dbm + a * linear_to_db(params.mu),
     )

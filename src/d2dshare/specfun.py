@@ -16,7 +16,9 @@ specialised to what the link-rate analytics need:
 * ``integrate_semiinfinite`` -- adaptive Gauss-Kronrod quadrature on (0, inf)
                                 for integrands with an exponentially decaying
                                 envelope (the tests' accuracy reference for
-                                ``rate_rule``).
+                                ``rate_rule``, and the subject of the benchmark
+                                tracing probe's ``specfun.integrate_semiinfinite.*``
+                                metrics, which is why it stays).
 
 No attempt is made at general-parameter hypergeometrics, complex arguments or
 arbitrary precision; see the tests for the independent brute-force oracles

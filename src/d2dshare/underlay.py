@@ -82,7 +82,7 @@ def d2d_spectral_efficiency_underlay(params: NetworkParams) -> float:
         return 0.0
     d = derive(params)
     k_d, _ = _link_coefficients(d.c_mu, beta, params.alpha)
-    return params.kappa * rate_evaluator(d.n0_equiv, params.alpha)(k_d)
+    return params.kappa * rate_evaluator(params.n0, params.alpha)(k_d)
 
 
 def cellular_sinr_ccdf_underlay(params: NetworkParams, thresholds=None) -> CcdfCurve:
@@ -98,7 +98,7 @@ def cellular_spectral_efficiency_underlay(params: NetworkParams) -> float:
     d = derive(params)
     _, k_c = _link_coefficients(d.c_mu, beta, params.alpha)
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
-    return pref * rate_evaluator(d.n0_equiv, params.alpha, outofcell=True)(k_c)
+    return pref * rate_evaluator(params.n0, params.alpha, outofcell=True)(k_c)
 
 
 def underlay_rates(params: NetworkParams) -> RateReport:
@@ -127,8 +127,8 @@ def optimal_access_factor(params: NetworkParams) -> float:
     each step is two dot products on the rate rule.
     """
     d = derive(params)
-    cell_rate = rate_evaluator(d.n0_equiv, params.alpha, outofcell=True)
-    d2d_rate = rate_evaluator(d.n0_equiv, params.alpha)
+    cell_rate = rate_evaluator(params.n0, params.alpha, outofcell=True)
+    d2d_rate = rate_evaluator(params.n0, params.alpha)
     pref = scheduling_prefactor(d.lambda_c / params.lambda_b)
 
     def utility(beta: float) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from d2dshare import cli
 from d2dshare.cli import ConfigError, RunConfig, main, parse_config
 from d2dshare.model import NetworkParams
+from d2dshare.overlay import overlay_rates
+from d2dshare.specfun import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,33 @@ def test_config_sweep_list_and_validation():
         parse_config("sweep_variable = mu\n")
     with pytest.raises(ConfigError, match="sweep"):
         parse_config("sweep_variable = lambda_b\nsweep_grid = 1,2\n")
+
+
+@pytest.mark.parametrize("variable, grid", [
+    ("mu", "0:inf:1"),
+    ("eta", "0.1:inf:0.1"),
+    ("mu", "0:1e13:1"),
+])
+def test_unbounded_range_grid_is_a_config_error(tmp_path, capsys, variable, grid):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(f"sweep_variable = {variable}\nsweep_grid = {grid}\n")
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", str(cfgfile), "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "configuration error: line 2: invalid value for sweep_grid" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+    assert peak < 2**20  # refused before the grid is built
+
+
+def test_range_grid_point_limit():
+    assert cli._parse_grid("1:1e6:1").size == 10**6
+    with pytest.raises(ValueError, match="at most"):
+        cli._parse_grid("0:1e6:1")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +332,13 @@ def test_non_finite_cell_writes_neither_table_nor_manifest(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_non_finite_cell_is_a_domain_error(tmp_path):
+    out = tmp_path / "t.csv"
+    with pytest.raises(DomainError, match="non-finite value for 'x'"):
+        cli._write_table(["x [m]"], [(math.nan,)], str(out), "csv")
+    assert not out.exists()
+
+
 def test_power_at_large_alpha_is_a_numerical_error(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("alpha = 120\n")
@@ -394,3 +431,31 @@ def test_sweep_json_matches_csv(tmp_path):
     assert [sorted(r) for r in records] == [sorted(keys)] * len(rows)
     for row, record in zip(rows, records):
         assert [str(record[k]) if isinstance(record[k], str) else repr(record[k]) for k in keys] == row
+
+
+# ---------------------------------------------------------------------------
+# Paper figure configs (scripts/figures, mapped to commands in the README)
+# ---------------------------------------------------------------------------
+
+_ROOT = pathlib.Path(__file__).parents[1]
+_FIGURES = sorted((_ROOT / "scripts" / "figures").glob("*.cfg"))
+
+
+def test_every_figure_config_parses_and_is_in_the_readme():
+    assert _FIGURES
+    for path in _FIGURES:
+        cfg = parse_config(path.read_text())
+        assert cfg.sweep_variable is not None, path.name
+    listed = set(re.findall(r"scripts/figures/[\w.]+\.cfg", (_ROOT / "README.md").read_text()))
+    assert listed == {f"scripts/figures/{path.name}" for path in _FIGURES}
+
+
+def test_figure_config_runs_as_its_sweep(tmp_path):
+    path = _ROOT / "scripts" / "figures" / "overlay_utility_q0.2.cfg"
+    out = tmp_path / "fig.csv"
+    assert main(["sweep", str(path), "--mode", "overlay", "--output", str(out)]) == 0
+    rows = _read_csv(out)[1:]
+    etas = np.linspace(0.02, 0.98, 49)
+    assert [float(r[1]) for r in rows] == etas.tolist()
+    base = NetworkParams(q=0.2, mu=710.0, bandwidth_normalization=False)
+    assert float(rows[24][7]) == overlay_rates(base.replace(eta=float(etas[24]))).utility

@@ -46,8 +46,8 @@ def test_derive_baseline_point(table1):
     c_oracle = 0.2 * (1.0 - 2.6 * math.exp(-1.6)) / sinc_normalized(4.0 / 7.0)
     assert d.c_mu == pytest.approx(c_oracle, rel=1e-12)
     assert d.c_mu == pytest.approx(0.17495487807000487, abs=1e-12)
-    assert d.cell_radius == pytest.approx(500.0, rel=1e-12)
-    assert d.n0_equiv == pytest.approx(0.1, rel=1e-15)
+    assert table1.cell_radius == pytest.approx(500.0, rel=1e-12)
+    assert table1.n0 == pytest.approx(0.1, rel=1e-15)
     assert d.lambda_c / table1.lambda_b == pytest.approx(8.403793035989313, rel=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_derive_no_d2d_mode(table1):
     p = table1.replace(mu=0.0)
     d = derive(p)
     assert d.p_d2d_mode == 0.0
-    assert d.lambda_d == 0.0
+    assert d2d_density(p) == 0.0
     assert d.c_mu == 0.0
     assert d.lambda_c == pytest.approx(table1.lambda_ue, rel=1e-15)
 
@@ -159,7 +159,7 @@ def test_default_threshold_grid():
 def test_derive_invariants_random(q, mu, kappa, snr):
     p = NetworkParams(q=q, mu=mu, kappa=kappa, snr_m_db=snr)
     d = derive(p)
-    assert d.lambda_c + d.lambda_d == pytest.approx(p.lambda_ue, rel=1e-12)
+    assert d.lambda_c + d2d_density(p) == pytest.approx(p.lambda_ue, rel=1e-12)
     assert 0.0 <= d.p_d2d_mode <= 1.0
     assert d.c_mu >= 0.0
-    assert d.n0_equiv == pytest.approx(10.0 ** (-snr / 10.0), rel=1e-14)
+    assert p.n0 == pytest.approx(10.0 ** (-snr / 10.0), rel=1e-14)

@@ -68,7 +68,7 @@ def test_d2d_ccdf_at_tiny_threshold(table1):
     # approach to 1 is governed by the sublinear c x^(2/alpha) term
     x = 1e-9
     d = derive(table1)
-    bound = d.n0_equiv * x + d.c_mu * x ** (2.0 / table1.alpha)
+    bound = table1.n0 * x + d.c_mu * x ** (2.0 / table1.alpha)
     curve = d2d_sinr_ccdf(table1, np.array([x]))
     assert curve.values[0] == pytest.approx(1.0, abs=1.01 * bound)
     assert bound < 2e-6
@@ -107,7 +107,7 @@ def test_d2d_efficiency_scipy_oracle(table1):
     b = 2.0 / table1.alpha
 
     def f(x):
-        return math.exp(-d.n0_equiv * x - d.c_mu * x**b) / (1.0 + x)
+        return math.exp(-table1.n0 * x - d.c_mu * x**b) / (1.0 + x)
 
     oracle, _ = sci_integrate.quad(f, 0.0, np.inf, limit=300, epsabs=1e-12, epsrel=1e-11)
     assert d2d_spectral_efficiency(table1) == pytest.approx(oracle, rel=1e-8)
@@ -138,7 +138,7 @@ def test_rate_evaluator_just_inside_the_rule_matches_quad(table1):
 
     def g(y):  # y = c x^b leaves a smooth integrand
         t = (y / d.c_mu) ** (1.0 / b)
-        return math.exp(-d.n0_equiv * t - y) / (1.0 + t) * t / (b * y)
+        return math.exp(-p.n0 * t - y) / (1.0 + t) * t / (b * y)
 
     oracle, _ = sci_integrate.quad(g, 0.0, np.inf, limit=500, epsabs=0.0, epsrel=1e-13)
     assert d2d_spectral_efficiency(p) == pytest.approx(oracle, rel=1e-9)
@@ -252,7 +252,7 @@ def test_cellular_efficiency_scipy_oracle(table1):
         return val
 
     def f(x):
-        return math.exp(-d.n0_equiv * x - jout(x)) / (1.0 + x)
+        return math.exp(-table1.n0 * x - jout(x)) / (1.0 + x)
 
     inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-10, epsrel=1e-9)
     oracle = scheduling_prefactor(d.lambda_c / table1.lambda_b) * inner
@@ -266,7 +266,7 @@ def test_cellular_efficiency_small_alpha_scipy_oracle(table1, jout_scipy, alpha)
     d = derive(p)
 
     def f(x):
-        return math.exp(-d.n0_equiv * x - jout_scipy(x, alpha)) / (1.0 + x)
+        return math.exp(-p.n0 * x - jout_scipy(x, alpha)) / (1.0 + x)
 
     inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
     oracle = scheduling_prefactor(d.lambda_c / p.lambda_b) * inner

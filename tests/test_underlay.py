@@ -153,7 +153,7 @@ def test_cellular_efficiency_scipy_oracle(table1):
 
     def f(x):
         return (
-            math.exp(-d.n0_equiv * x - d.c_mu * p.beta ** (1.0 - b) * x**b - jout(x))
+            math.exp(-p.n0 * x - d.c_mu * p.beta ** (1.0 - b) * x**b - jout(x))
             / (1.0 + x)
         )
 
@@ -173,7 +173,7 @@ def test_cellular_efficiency_small_alpha_scipy_oracle(table1, jout_scipy, alpha)
     coef = d.c_mu * p.beta ** (1.0 - b)
 
     def f(x):
-        return math.exp(-d.n0_equiv * x - coef * x**b - jout_scipy(x, alpha)) / (1.0 + x)
+        return math.exp(-p.n0 * x - coef * x**b - jout_scipy(x, alpha)) / (1.0 + x)
 
     inner, _ = sci_integrate.quad(f, 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-11)
     oracle = scheduling_prefactor(d.lambda_c / p.lambda_b) * inner
