@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -324,6 +325,8 @@ def _cmd_simulate(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
 
 
 def _cmd_optimize(cfg: RunConfig, args) -> tuple[list[str], list[tuple], dict]:
+    if args.mode == "underlay" and args.joint:
+        raise ConfigError("--joint is defined for --mode overlay only")
     if args.mode == "overlay" and args.joint:
         grid = _mu_grid(cfg, np.arange(50.0, 1001.0, 50.0))
         opt = overlay.joint_optimize_mu_eta(cfg.params, grid)
@@ -401,7 +404,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="d2dshare",
         description=__doc__,

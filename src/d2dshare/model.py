@@ -86,6 +86,11 @@ class NetworkParams:
     bandwidth_normalization: bool = True
 
     def __post_init__(self) -> None:
+        # first: NaN passes `mu < 0` and infinity passes every one-sided bound;
+        # an int or bool is always finite (and may be too large for a float)
+        for name, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ParameterError(f"{name} must be finite, got {v}")
         for name in ("lambda_b", "lambda_ue", "xi"):
             if not (getattr(self, name) > 0.0):
                 raise ParameterError(f"{name} must be strictly positive")

@@ -302,6 +302,31 @@ def test_bad_config_file_exit_code(tmp_path):
     assert main(["power", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    ("power", "mu = nan\n"),
+    ("power", "mu = inf\n"),
+    ("analyze", "mu = nan\n"),
+    ("analyze", "mu = inf\n"),
+    ("analyze", "snr_m_db = nan\n"),
+    ("sweep", "sweep_variable = mu\nsweep_grid = nan, 200\n"),
+    ("analyze", "sweep_variable = mu\nsweep_grid = nan, 200\n"),
+])
+def test_non_finite_parameter_is_a_config_error(tmp_path, capsys, command, text):
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text(text)
+    assert main([command, str(cfgfile), "--output", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "must be finite, got" in err
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_subchannel_count_too_large_for_a_float_is_not_a_finiteness_error(tmp_path):
+    # an int cannot be NaN or infinite; the finite check must not overflow on it
+    cfgfile = tmp_path / "cfg.txt"
+    cfgfile.write_text("b_subchannels = 1" + "0" * 400 + "\n")
+    assert main(["power", str(cfgfile), "--output", str(tmp_path / "t.csv")]) == 0
+
+
 def test_joint_optimize_names_the_mu_that_breaks_lambda_c(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.txt"
     cfgfile.write_text("q = 0.95\nsweep_variable = mu\nsweep_grid = 100, 2000\n")
@@ -312,6 +337,15 @@ def test_joint_optimize_names_the_mu_that_breaks_lambda_c(tmp_path, capsys):
         "lambda_c=6.3662e-07 < lambda_b=1.27324e-06\n"
     )
     assert not out.exists()
+
+
+def test_joint_optimize_refuses_underlay(tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    assert main(["optimize", "--mode", "underlay", "--joint", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --joint is defined for --mode overlay only\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_format_output(tmp_path):
@@ -431,6 +465,67 @@ def test_sweep_json_matches_csv(tmp_path):
     assert [sorted(r) for r in records] == [sorted(keys)] * len(rows)
     for row, record in zip(rows, records):
         assert [str(record[k]) if isinstance(record[k], str) else repr(record[k]) for k in keys] == row
+
+
+# ---------------------------------------------------------------------------
+# Repeated calls in one process
+# ---------------------------------------------------------------------------
+
+# every subcommand, interleaved, plus a usage error, --help, a config error
+# (exit 2), a numerical error (exit 3) and a failed validation (exit 4)
+_JOBS = [
+    ["power", "grid.cfg", "--output", "power.csv"],
+    ["analyze", "--mode", "bogus"],
+    ["validate", "--mode", "d2d_overlay", "--trials", "300", "--seed", "1",
+     "--tolerance", "1e-6", "--output", "vfail.csv"],
+    ["analyze", "--mode", "underlay", "--output", "an.csv"],
+    ["optimize", "grid.cfg", "--joint", "--output", "joint.csv"],
+    ["sweep", "--output", "nogrid.csv"],
+    ["simulate", "--mode", "uplink_hex", "--trials", "50", "--output", "sim.csv"],
+    ["feasibility", "grid.cfg", "--eps-d", "0.2", "--output", "feas.csv"],
+    ["sweep", "grid.cfg", "--mode", "underlay", "--output", "sweep.csv"],
+    ["optimize", "--mode", "underlay", "--joint", "--output", "bad.csv"],
+    ["sweep", "--help"],
+    ["sweep", "eta.cfg", "--output", "degenerate.csv"],
+    ["optimize", "--mode", "underlay", "--output", "opt.csv"],
+    ["validate", "--mode", "d2d_underlay", "--trials", "200", "--tolerance", "0.2",
+     "--output", "vpass.csv"],
+    ["analyze", "grid.cfg", "--output", "an_grid.csv"],
+]
+
+
+def _run_jobs(workdir, monkeypatch, capsys) -> list:
+    """Each job's exit code, stdout, stderr and files written, run in ``workdir``."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    (workdir / "grid.cfg").write_text("sweep_variable = mu\nsweep_grid = 100, 300\n")
+    (workdir / "eta.cfg").write_text("sweep_variable = eta\nsweep_grid = 0.5, 1.0\n")
+    results = []
+    for argv in _JOBS:
+        before = set(workdir.iterdir())
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        written = {p.name: p.read_bytes() for p in sorted(set(workdir.iterdir()) - before)}
+        results.append((argv, code, out, err, written))
+    return results
+
+
+def test_shared_parser_gives_the_results_of_a_fresh_one(tmp_path, monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    shared = _run_jobs(tmp_path / "shared", monkeypatch, capsys)
+    assert cli._build_parser.cache_info().misses == 1  # one parser for every job
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_jobs(tmp_path / "fresh", monkeypatch, capsys)
+
+    assert [job[1] for job in shared] == [
+        0, ("SystemExit", 2), 4, 0, 0, 2, 0, 0, 0, 2, ("SystemExit", 0), 3, 0, 0, 0,
+    ]
+    for job_shared, job_fresh in zip(shared, fresh):
+        assert job_shared == job_fresh
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_parameter_validation_errors():
         NetworkParams(b_subchannels=0)
     with pytest.raises(ParameterError, match="mu"):
         NetworkParams(mu=-5.0)
+    # NaN and infinity pass the range comparisons, so they are refused first
+    with pytest.raises(ParameterError, match="alpha must be finite, got inf"):
+        NetworkParams(alpha=math.inf)
+    with pytest.raises(ParameterError, match="mu must be finite, got nan"):
+        NetworkParams(mu=math.nan)
+    with pytest.raises(ParameterError, match="snr_m_db must be finite, got -inf"):
+        NetworkParams(snr_m_db=-math.inf)
+    assert NetworkParams(b_subchannels=10**400).b_subchannels == 10**400
 
 
 def test_derive_rejects_understocked_cells(table1):
